@@ -7,19 +7,28 @@
 //! plunging by default; branching uses pseudo-costs with a most-fractional
 //! fallback.
 //!
-//! # Parallel search
+//! # One worker loop
 //!
-//! With [`Config::threads`] above 1 the tree is explored by scoped worker
-//! threads: open nodes live in a shared best-bound heap behind a `Mutex`,
-//! the incumbent objective is published through an `AtomicU64` (f64 bits)
-//! so every worker prunes against the freshest bound, and each worker runs
-//! its own simplex instance with the shared warm-start bases (`Arc`).
-//! Workers plunge depth-first locally exactly like the sequential search.
-//! Node processing order differs run to run, so pseudo-cost learning and
-//! node counts vary — but pruning only ever discards nodes whose LP bound
-//! cannot beat the incumbent, so the *objective value* of the result is
-//! deterministic to within the configured gap tolerances at any thread
-//! count. `threads: 1` runs the original single-threaded loop unchanged.
+//! The search is one worker loop over a shared open-node pool: a best-bound
+//! heap behind a `Mutex` plus one in-flight slot per worker. `threads: 1`
+//! runs one worker of that loop inline; with [`Config::threads`] above 1 the
+//! same loop runs on scoped worker threads. The incumbent objective is
+//! published through an `AtomicU64` (f64 bits) so every worker prunes
+//! against the freshest bound, the base bounds tightened by reduced-cost
+//! fixing are shared so one worker's incumbent tightens every later node,
+//! and each worker runs its own simplex instance with the shared warm-start
+//! bases (`Arc`). Node processing order differs run to run at more than one
+//! worker, so pseudo-cost learning and node counts vary — but pruning only
+//! ever discards nodes whose LP bound cannot beat the incumbent, so the
+//! *objective value* of the result is deterministic to within the
+//! configured gap tolerances at any thread count.
+//!
+//! # Resume
+//!
+//! A checkpointed solve resumes through the same setup as a cold one
+//! ([`solve_milp_with`] with a [`SearchFrame`] seed): the frame only swaps
+//! in its pricing batches, root cuts, cut pool, incumbent, base bounds and
+//! open nodes.
 
 use crate::checkpoint::{self, CkptRuntime, FrameError, FrameNode, SearchFrame};
 use crate::config::{Branching, Config, NodeSelection};
@@ -39,7 +48,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One open node: bound changes relative to the root plus bookkeeping.
-/// `Clone` lets the parallel search keep an in-flight copy per worker so a
+/// `Clone` lets the node pool keep an in-flight copy per worker so a
 /// panicking worker's node can be re-queued instead of lost.
 #[derive(Clone)]
 struct Node {
@@ -48,8 +57,8 @@ struct Node {
     /// LP bound inherited from the parent (internal minimize sense).
     bound: f64,
     depth: usize,
-    /// Warm-start statuses shared with the sibling (and, in parallel
-    /// search, across worker threads).
+    /// Warm-start statuses shared with the sibling (and across worker
+    /// threads).
     warm: Option<Arc<Vec<VStat>>>,
 }
 
@@ -79,7 +88,7 @@ impl Ord for HeapNode {
     }
 }
 
-/// Per-variable pseudo-cost records. Parallel workers keep their own copy:
+/// Per-variable pseudo-cost records. Each worker keeps its own copy:
 /// the records steer branching, not correctness, so they need no sharing.
 struct PseudoCosts {
     up_sum: Vec<f64>,
@@ -178,7 +187,7 @@ impl SearchCtx<'_> {
 /// Shared incumbent state: the objective as atomic f64 bits for lock-free
 /// pruning, the full vector behind a mutex, and a timestamped publication
 /// trace for the anytime metrics. One instance is shared by the tree search
-/// (sequential or parallel), the dive heuristics, and the LNS + tabu engine,
+/// (every worker), the dive heuristics, and the LNS + tabu engine,
 /// so an improvement from any of them immediately tightens every worker's
 /// pruning bound.
 pub(crate) struct Incumbent {
@@ -368,24 +377,48 @@ fn dive_window(deadline: Option<Instant>, want_secs: f64) -> Option<Instant> {
 /// Solves `problem` by presolve + branch and bound. `start` anchors the time
 /// limit. Called through [`crate::Solver::solve`].
 pub fn solve_milp(problem: &Problem, cfg: &Config, start: Instant) -> Solution {
-    solve_milp_with(problem, cfg, start, None)
+    cold(solve_milp_with(problem, cfg, start, None, None))
 }
 
-/// [`solve_milp`] with an optional column source for root column
-/// generation. When a source is supplied (and [`Config::colgen`] is
-/// enabled), presolve is forced to the identity so the row indices the
-/// source prices against are exactly the caller's encode-time indices, and
-/// the root LP is grown by a solve-price-reoptimize loop before cut
-/// separation. Called through [`crate::Solver::solve_with_columns`].
+/// Unwraps a solve without a frame seed, which has no frame to mismatch.
+pub(crate) fn cold(r: Result<Solution, FrameError>) -> Solution {
+    r.unwrap_or_else(|e| unreachable!("an unseeded solve cannot mismatch a frame: {e}"))
+}
+
+/// [`solve_milp`] with an optional column source and an optional
+/// checkpoint frame to resume from.
+///
+/// When a source is supplied (and [`Config::colgen`] is enabled), presolve
+/// is forced to the identity so the row indices the source prices against
+/// are exactly the caller's encode-time indices, and the root LP is grown
+/// by a solve-price-reoptimize loop before cut separation. Called through
+/// [`crate::Solver::solve_with_columns`].
+///
+/// A `seed` frame resumes a checkpointed solve through the same setup: the
+/// root LP is solved cold as usual, then the frame swaps in its own inputs —
+/// its pricing batches are replayed instead of generated, its root cuts are
+/// appended to the solved root and reoptimized exactly like a cut round,
+/// and its cut pool, incumbent, base bounds and open nodes replace the
+/// root's. Resuming from *any* valid frame — even a stale one — yields the
+/// same final objective and proof status as an uninterrupted run; staleness
+/// only re-does work. Called through [`crate::Solver::resume`].
+///
+/// Fails with [`FrameError::Mismatch`] only when `seed` does not belong to
+/// this problem/configuration pairing; callers typically fall back to a
+/// cold solve.
 pub fn solve_milp_with(
     problem: &Problem,
     cfg: &Config,
     start: Instant,
     mut columns: Option<&mut dyn ColumnSource>,
-) -> Solution {
+    seed: Option<SearchFrame>,
+) -> Result<Solution, FrameError> {
     let deadline = cfg.time_limit.map(|d| start + d);
     let minimize = problem.sense() == Sense::Minimize;
-    let mut stats = Stats::default();
+    let mut stats = Stats {
+        resumed: seed.is_some(),
+        ..Stats::default()
+    };
 
     // --- Presolve ---
     // Pricing requires stable row indices (the source addresses rows by
@@ -393,17 +426,22 @@ pub fn solve_milp_with(
     let mut ps: Presolved = if cfg.presolve && columns.is_none() {
         presolve(problem, minimize)
     } else {
-        identity_presolved(problem)
+        Presolved::identity(problem)
     };
     stats.presolve_rows_removed = ps.rows_removed;
     stats.presolve_vars_removed = ps.vars_removed;
     if let Some(conclusion) = ps.conclusion {
+        if seed.is_some() {
+            // The original solve never searched (so never wrote a frame)
+            // for a presolve-concluded problem; this frame is someone else's.
+            return Err(FrameError::Mismatch("presolve concluded the problem"));
+        }
         stats.elapsed = start.elapsed();
-        return match conclusion {
+        return Ok(match conclusion {
             Status::Infeasible => Solution::infeasible(stats),
             Status::Unbounded => Solution::unbounded(stats),
             _ => unreachable!("presolve only concludes infeasible/unbounded"),
-        };
+        });
     }
 
     // --- Build internal (minimize) LP form ---
@@ -432,13 +470,23 @@ pub fn solve_milp_with(
     let user_obj = |internal: f64| sign * internal + obj_offset;
 
     // Fingerprint the base LP before pricing or cuts mutate it: checkpoint
-    // frames carry this hash, and resume recomputes it from a fresh encode
-    // so a frame can never be applied to a different problem.
-    let fingerprint = if cfg.checkpoint.is_some() {
+    // frames carry this hash, and a seeded solve recomputes it from a fresh
+    // encode so a frame can never be applied to a different problem.
+    let fingerprint = if cfg.checkpoint.is_some() || seed.is_some() {
         frame_fingerprint(&lp, &root_lb, &root_ub, &int_vars)
     } else {
         0
     };
+    if let Some(frame) = &seed {
+        if frame.fingerprint != fingerprint {
+            return Err(FrameError::Mismatch("problem fingerprint differs"));
+        }
+        if !frame.batches.is_empty() && (columns.is_none() || !cfg.colgen.enabled) {
+            return Err(FrameError::Mismatch(
+                "frame carries priced columns but column generation is off",
+            ));
+        }
+    }
 
     // --- Root LP ---
     stats.lp_solves += 1;
@@ -449,7 +497,7 @@ pub fn solve_milp_with(
             // there is nothing to search, so surface the failure.
             stats.nodes = 1;
             stats.elapsed = start.elapsed();
-            return Solution::numeric_failure(stats, e);
+            return Ok(Solution::numeric_failure(stats, e));
         }
     };
     stats.simplex_iters += root.iters;
@@ -462,24 +510,24 @@ pub fn solve_milp_with(
         LpStatus::Infeasible => {
             stats.nodes = 1;
             stats.elapsed = start.elapsed();
-            return Solution::infeasible(stats);
+            return Ok(Solution::infeasible(stats));
         }
         LpStatus::Unbounded => {
             stats.nodes = 1;
             stats.elapsed = start.elapsed();
-            return Solution::unbounded(stats);
+            return Ok(Solution::unbounded(stats));
         }
         LpStatus::Limit => {
             stats.nodes = 1;
             stats.elapsed = start.elapsed();
-            return Solution {
+            return Ok(Solution {
                 status: Status::LimitNoSolution,
                 objective: f64::INFINITY,
                 best_bound: user_obj(f64::NEG_INFINITY),
                 values: Vec::new(),
                 stats,
                 error: None,
-            };
+            });
         }
         LpStatus::Optimal => {}
     }
@@ -489,9 +537,31 @@ pub fn solve_milp_with(
     // is derived on the final column set, so no cut is ever missing a
     // coefficient for a priced-in variable. The loop grows `ps.reduced`,
     // `lp`, the root bound vectors, and `int_vars` in lockstep, and leaves
-    // `root` optimal over the grown LP.
+    // `root` optimal over the grown LP. A seed replays its accepted batches
+    // (batch by batch, so side-row column indices resolve exactly as they
+    // did when first accepted) and restores the source's bookkeeping.
     let mut accepted_batches: Vec<checkpoint::FrameBatch> = Vec::new();
-    if let Some(source) = columns.as_deref_mut() {
+    if let Some(frame) = &seed {
+        if !frame.batches.is_empty() {
+            pricing::replay_batches(
+                &mut ps,
+                &mut lp,
+                &mut root_lb,
+                &mut root_ub,
+                &mut int_vars,
+                &frame.batches,
+                cfg,
+                &mut root,
+                deadline,
+                sign,
+                &mut stats,
+            )?;
+        }
+        accepted_batches = frame.batches.clone();
+        if let Some(source) = columns.as_deref_mut() {
+            source.restore_state(&frame.user_data);
+        }
+    } else if let Some(source) = columns.as_deref_mut() {
         if cfg.colgen.enabled {
             pricing::run_root_pricing(
                 source,
@@ -517,31 +587,62 @@ pub fn solve_milp_with(
     // round appends the pool's surviving cuts and dual-reoptimizes from the
     // old basis (cut slacks enter basic, which keeps it dual-feasible).
     // Gomory cuts are derived here, at the root bounds, so every cut below
-    // is globally valid and the pool can be shared across workers.
+    // is globally valid and the pool can be shared across workers. A seed
+    // appends its root cuts the same way, in one step; its later cuts go
+    // into the pool only, and node LPs catch them up lazily through
+    // `sync_cut_lp` — the pool being ahead of an LP is the normal, tolerated
+    // state of the append-only global order. Should the seed's root cuts
+    // fail to reoptimize, they stay in the pool only and the search runs on
+    // the uncut root: cuts are valid inequalities, so only strength is lost.
     let cut_ctx = cuts::CutContext::from_problem(reduced);
     let mut cut_pool = cuts::CutPool::new();
-    if cfg.cuts.enabled && !int_vars.is_empty() {
-        let pre = (root.iters, root.phase1_iters, root.dual_iters, root.recoveries);
-        cuts::run_root_cuts(
-            &mut lp,
-            &root_lb,
-            &root_ub,
-            cfg,
-            &cut_ctx,
-            &mut root,
-            &mut cut_pool,
-            deadline,
-        );
-        stats.simplex_iters += root.iters - pre.0;
-        stats.phase1_iters += root.phase1_iters - pre.1;
-        stats.dual_iters += root.dual_iters - pre.2;
-        if root.recoveries > pre.3 {
-            stats.lp_recoveries += 1;
+    let pre = (root.iters, root.phase1_iters, root.dual_iters, root.recoveries);
+    let root_cuts = match &seed {
+        Some(frame) => {
+            if frame
+                .cuts
+                .iter()
+                .any(|cut| cut.coefs.iter().any(|&(j, _)| j >= lp.num_vars()))
+            {
+                return Err(FrameError::Mismatch("cut references an unknown column"));
+            }
+            cut_pool.restore_applied(frame.cuts.clone());
+            let baked = &frame.cuts[..frame.root_cuts];
+            stats.lp_solves += usize::from(!baked.is_empty());
+            if baked.is_empty()
+                || cuts::append_and_reoptimize(
+                    &mut lp, &root_lb, &root_ub, cfg, &mut root, baked, deadline,
+                )
+            {
+                baked.len()
+            } else {
+                0
+            }
         }
-        stats.lp_solves += cut_pool.rounds;
+        None => {
+            if cfg.cuts.enabled && !int_vars.is_empty() {
+                cuts::run_root_cuts(
+                    &mut lp,
+                    &root_lb,
+                    &root_ub,
+                    cfg,
+                    &cut_ctx,
+                    &mut root,
+                    &mut cut_pool,
+                    deadline,
+                );
+                stats.lp_solves += cut_pool.rounds;
+            }
+            cut_pool.applied_len()
+        }
+    };
+    stats.simplex_iters += root.iters - pre.0;
+    stats.phase1_iters += root.phase1_iters - pre.1;
+    stats.dual_iters += root.dual_iters - pre.2;
+    if root.recoveries > pre.3 {
+        stats.lp_recoveries += 1;
     }
-    let root_cuts = cut_pool.applied_len();
-    let cuts_applied_hint = AtomicUsize::new(root_cuts);
+    let cuts_applied_hint = AtomicUsize::new(cut_pool.applied_len());
     // Root LP bound after the cut rounds; the reported root gap measures
     // the incumbent against this tightened bound.
     let root_cut_bound = root.obj;
@@ -550,8 +651,15 @@ pub fn solve_milp_with(
     // --- Incumbent state (internal minimize sense) ---
     // One shared instance for the whole solve: tree workers, dives, and the
     // LNS engine publish through it, and its timestamped trace yields the
-    // anytime metrics in `wrap_up`.
+    // anytime metrics in `wrap_up`. A seed's incumbent is whatever the
+    // interrupted run had found by its snapshot.
     let inc = Incumbent::new(start);
+    if let Some((obj, x)) = seed.as_ref().and_then(|f| f.incumbent.clone()) {
+        if x.len() != lp.num_vars() {
+            return Err(FrameError::Mismatch("incumbent length differs"));
+        }
+        inc.offer(obj, x);
+    }
 
     // A caller-supplied warm-start point (the previous optimum of a nearby
     // problem, in original variable order) seeds the incumbent when it
@@ -576,7 +684,8 @@ pub fn solve_milp_with(
         }
     }
 
-    // Root heuristics.
+    // Root heuristics. On a resumed solve they can still beat the frame's
+    // incumbent, which drives all pruning below; the better one is kept.
     if cfg.heuristics.enabled && !int_vars.is_empty() {
         if let Some((obj, x)) = heur::try_rounding(reduced, &lp, &root.x, cfg.int_tol) {
             if inc.offer(obj, x) {
@@ -612,6 +721,18 @@ pub fn solve_milp_with(
         }
     }
 
+    // --- Base bounds ---
+    // A seed's base bounds carry every reduced-cost fixing of the
+    // interrupted run. Fixing again against them stays valid: bounds
+    // tighter than the root LP's only weaken each implied limit.
+    if let Some(frame) = &seed {
+        if frame.base_lb.len() != root_lb.len() || frame.base_ub.len() != root_ub.len() {
+            return Err(FrameError::Mismatch("bound vector length differs"));
+        }
+        root_lb.clone_from(&frame.base_lb);
+        root_ub.clone_from(&frame.base_ub);
+    }
+
     // --- Root reduced-cost fixing ---
     // With an incumbent in hand the root reduced costs bound how far any
     // nonbasic integer can move in a better solution; pull the opposite
@@ -630,6 +751,40 @@ pub fn solve_milp_with(
             .len();
         }
     }
+
+    // --- Open nodes ---
+    // Every node warm-starts from the root basis: a seed's nodes are just
+    // bound deltas from this root, so the basis stays dual-feasible for all
+    // of them and their first solves are short dual reoptimizations.
+    let root_warm = Arc::new(root.statuses.clone());
+    let roots: Vec<Node> = match &seed {
+        Some(frame) => {
+            if frame
+                .open_nodes
+                .iter()
+                .any(|nd| nd.changes.iter().any(|&(j, _, _)| j >= root_lb.len()))
+            {
+                return Err(FrameError::Mismatch("node change references an unknown column"));
+            }
+            stats.nodes = frame.nodes_done;
+            frame
+                .open_nodes
+                .iter()
+                .map(|nd| Node {
+                    changes: nd.changes.clone(),
+                    bound: nd.bound,
+                    depth: nd.depth,
+                    warm: Some(Arc::clone(&root_warm)),
+                })
+                .collect()
+        }
+        None => vec![Node {
+            changes: Vec::new(),
+            bound: root.obj,
+            depth: 0,
+            warm: Some(root_warm),
+        }],
+    };
 
     // --- Durable-solve runtime ---
     // Everything static for the rest of the search goes into the frame
@@ -670,12 +825,6 @@ pub fn solve_milp_with(
     };
 
     // --- Search ---
-    let root_node = Node {
-        changes: Vec::new(),
-        bound: root.obj,
-        depth: 0,
-        warm: Some(Arc::new(root.statuses.clone())),
-    };
     let nthreads = cfg.effective_threads();
     let root_djb = (cfg.reduced_cost_fixing && !int_vars.is_empty())
         .then_some((root.dj.as_slice(), root.obj));
@@ -697,16 +846,9 @@ pub fn solve_milp_with(
             cfg,
             deadline,
         });
-    let outcome = run_search_with_lns(
-        &ctx,
-        vec![root_node],
-        root_djb,
-        nthreads,
-        lns_in,
-        &mut stats,
-    );
+    let outcome = run_search_with_lns(&ctx, roots, root_djb, nthreads, lns_in, &mut stats);
 
-    wrap_up(
+    Ok(wrap_up(
         outcome,
         inc,
         &ps,
@@ -718,7 +860,7 @@ pub fn solve_milp_with(
         obj_offset,
         start,
         stats,
-    )
+    ))
 }
 
 /// Runs the tree search with the LNS engine riding shotgun: in async mode
@@ -775,36 +917,534 @@ fn run_search_with_lns(
     }
 }
 
-/// Dispatches the tree search, wrapping it with the checkpoint watchdog
-/// thread when durable solves are configured. The watchdog runs for the
-/// whole search and flushes any pending frame on shutdown, so even a
-/// limit-stopped solve leaves its final frame on disk.
+/// Runs the tree search over `roots` and, when durable solves are
+/// configured, wraps it with the checkpoint watchdog thread; the watchdog
+/// runs for the whole search and flushes any pending frame on shutdown, so
+/// even a limit-stopped solve leaves its final frame on disk.
+///
+/// The search is one worker loop over a shared [`NodePool`]: run inline as
+/// a single worker at `threads: 1` (or with no integer variables), else on
+/// `nthreads` scoped threads whose per-worker [`Stats`] are merged at join.
+/// A panicking thread surrenders its node to the pool; if every thread dies
+/// with open nodes left, one inline worker finishes the search so the
+/// result is still exact.
 fn run_search(
     ctx: &SearchCtx<'_>,
     roots: Vec<Node>,
-    root_djb: Option<(&[f64], f64)>,
+    root_info: Option<(&[f64], f64)>,
     nthreads: usize,
     stats: &mut Stats,
 ) -> SearchOutcome {
-    let run = move |stats: &mut Stats| {
-        if nthreads <= 1 || ctx.int_vars.is_empty() {
-            search_sequential(ctx, roots, root_djb, stats)
+    let threaded = nthreads > 1 && !ctx.int_vars.is_empty();
+    let pool = NodePool {
+        heap: Mutex::new(roots.into_iter().map(HeapNode).collect()),
+        inflight: (0..if threaded { nthreads } else { 1 })
+            .map(|_| Mutex::new(None))
+            .collect(),
+        base: Mutex::new((ctx.root_lb.to_vec(), ctx.root_ub.to_vec())),
+        root_info,
+        nodes: AtomicUsize::new(stats.nodes),
+        stop: AtomicBool::new(false),
+        hit_limit: AtomicBool::new(false),
+        unbounded: AtomicBool::new(false),
+        dropped_bound: Mutex::new(f64::INFINITY),
+    };
+    let search = |stats: &mut Stats| {
+        if threaded {
+            // Worker 0 starts out holding the best open node, so which
+            // thread gets the first node never races thread start-up.
+            if let Some(HeapNode(nd)) = relock(&pool.heap).pop() {
+                *relock(&pool.inflight[0]) = Some(nd);
+            }
+            let panics: usize = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..nthreads)
+                    .map(|id| {
+                        let pool = &pool;
+                        s.spawn(move || {
+                            // Isolate panics: the per-worker stats live
+                            // outside the unwind boundary, and every shared
+                            // structure is either atomic or repaired by
+                            // relock(), which justifies AssertUnwindSafe.
+                            let mut own = Stats::default();
+                            let panicked =
+                                catch_unwind(AssertUnwindSafe(|| worker(ctx, pool, id, &mut own)))
+                                    .is_err();
+                            if panicked {
+                                pool.recover_after_panic(id);
+                            }
+                            (own, panicked)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .filter_map(|h| h.join().ok())
+                    .map(|(own, panicked)| {
+                        absorb(stats, &own);
+                        usize::from(panicked)
+                    })
+                    .sum()
+            });
+            stats.worker_panics += panics;
+            let open = relock(&pool.heap).len();
+            if panics > 0 && !pool.stop.load(AtomicOrdering::SeqCst) && open > 0 {
+                if ctx.cfg.verbose {
+                    eprintln!(
+                        "[milp] {panics} worker(s) panicked with {open} open nodes; continuing with one worker"
+                    );
+                }
+                worker(ctx, &pool, 0, stats);
+            }
         } else {
-            // Parallel workers reconstruct bounds from the (already
-            // root-fixed) context; incumbent-time refixing is
-            // sequential-only.
-            search_parallel(ctx, nthreads, roots, stats)
+            worker(ctx, &pool, 0, stats);
+        }
+        // Limit wind-down: every worker parked its node before exiting, so
+        // the heap is the complete open set — deposit it as the final frame
+        // for the watchdog's exit drain, so a deadline-expired or
+        // stall-aborted solve resumes from exactly where it stopped.
+        if pool.hit_limit.load(AtomicOrdering::SeqCst) {
+            if let Some(rt) = ctx.ckpt {
+                let t0 = Instant::now();
+                let open = pool.open_nodes(&relock(&pool.heap));
+                rt.offer(snapshot_frame(ctx, rt, &pool, open), t0.elapsed());
+            }
         }
     };
     match ctx.ckpt {
         Some(rt) => std::thread::scope(|s| {
             let wd = s.spawn(|| rt.watchdog());
-            let outcome = run(stats);
+            search(stats);
             rt.shutdown();
             let _ = wd.join();
-            outcome
         }),
-        None => run(stats),
+        None => search(stats),
+    }
+    // Every worker released its slot on the way out, so the heap holds
+    // every still-open node.
+    stats.nodes = pool.nodes.into_inner();
+    let heap = pool.heap.into_inner().unwrap_or_else(PoisonError::into_inner);
+    SearchOutcome {
+        open_bound: heap.peek().map_or(f64::INFINITY, |h| h.0.bound),
+        hit_limit: pool.hit_limit.into_inner(),
+        unbounded: pool.unbounded.into_inner(),
+        dropped_bound: pool
+            .dropped_bound
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+/// Adds one worker's search counters into the solve's [`Stats`].
+fn absorb(stats: &mut Stats, own: &Stats) {
+    stats.lp_solves += own.lp_solves;
+    stats.simplex_iters += own.simplex_iters;
+    stats.phase1_iters += own.phase1_iters;
+    stats.dual_iters += own.dual_iters;
+    stats.lp_recoveries += own.lp_recoveries;
+    stats.rc_fixed += own.rc_fixed;
+    stats.heuristic_solutions += own.heuristic_solutions;
+    stats.dropped_nodes += own.dropped_nodes;
+}
+
+/// The open-node pool every search worker draws from: the best-bound heap
+/// plus one in-flight slot per worker. Children are pushed before their
+/// parent's slot is cleared, so heap ∪ slots always covers every open node
+/// (a node seen in both is harmless: resumed work is re-done) — the gap
+/// check and checkpoint frames read exactly that union.
+struct NodePool<'a> {
+    /// Open nodes, best bound on top.
+    heap: Mutex<BinaryHeap<HeapNode>>,
+    /// The node each worker holds: the one it is processing, or its next
+    /// plunge child. A panicking worker's node is re-queued from here. Lock
+    /// order is heap → slot everywhere.
+    inflight: Vec<Mutex<Option<Node>>>,
+    /// Base bounds every node is rebuilt from, tightened by reduced-cost
+    /// fixing whenever any worker improves the incumbent (globally valid:
+    /// the argument uses the root bound and the global incumbent).
+    base: Mutex<(Vec<f64>, Vec<f64>)>,
+    /// Root reduced costs and root LP bound for that fixing.
+    root_info: Option<(&'a [f64], f64)>,
+    /// Nodes processed; shared because `node_limit`, the dive period and
+    /// checkpoint frames read it.
+    nodes: AtomicUsize,
+    /// All workers drain and exit (gap reached, limit hit, or unbounded).
+    stop: AtomicBool,
+    hit_limit: AtomicBool,
+    unbounded: AtomicBool,
+    /// Smallest bound among nodes dropped after unrecoverable LP errors
+    /// (∞ when none). Folded into the final bound so a solve that lost
+    /// subtrees never claims optimality past them.
+    dropped_bound: Mutex<f64>,
+}
+
+impl NodePool<'_> {
+    /// Smallest bound among open nodes (∞ when none). The caller holds the
+    /// heap lock, under which claims fill their slot, so a node is never
+    /// missed mid-handoff.
+    fn open_bound(&self, heap: &BinaryHeap<HeapNode>) -> f64 {
+        self.inflight
+            .iter()
+            .filter_map(|slot| relock(slot).as_ref().map(|n| n.bound))
+            .fold(heap.peek().map_or(f64::INFINITY, |h| h.0.bound), f64::min)
+    }
+
+    /// Every open node, heap first, as checkpoint frame nodes.
+    fn open_nodes(&self, heap: &BinaryHeap<HeapNode>) -> Vec<FrameNode> {
+        heap.iter()
+            .map(|h| frame_node(&h.0))
+            .chain(
+                self.inflight
+                    .iter()
+                    .filter_map(|slot| relock(slot).as_ref().map(frame_node)),
+            )
+            .collect()
+    }
+
+    /// Claims worker `id`'s next node, in the order the search has always
+    /// used: gap check, checkpoint snapshot, then the worker's plunge child
+    /// or else the best heap node. `None` ends this worker: the search
+    /// stopped, the gap closed, or the tree is exhausted. While the heap is
+    /// empty but peers still hold nodes, the worker waits for their
+    /// children.
+    fn claim(&self, ctx: &SearchCtx<'_>, id: usize, mut plunge: Option<Node>) -> Option<Node> {
+        let cfg = ctx.cfg;
+        // Starvation backoff: on an oversubscribed host a tight fixed-period
+        // poll steals the core from whichever worker is producing children,
+        // so the wait doubles (capped) each empty round.
+        let mut wait = Duration::from_micros(50);
+        loop {
+            let mut heap = relock(&self.heap);
+            // Gap-based termination (the incumbent may have just improved
+            // via an LNS publication — the same check picks that up).
+            let inc_obj = ctx.inc.bound();
+            if inc_obj.is_finite() {
+                let gap = inc_obj - self.open_bound(&heap);
+                if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
+                    self.stop.store(true, AtomicOrdering::SeqCst);
+                }
+            }
+            if self.stop.load(AtomicOrdering::SeqCst) {
+                if let Some(nd) = plunge {
+                    heap.push(HeapNode(nd));
+                }
+                drop(heap);
+                self.release(id);
+                return None;
+            }
+            // Snapshot at the claim boundary: this worker holds no node
+            // in process, and every peer's node sits in its slot.
+            let snapshot = ctx
+                .ckpt
+                .filter(|rt| rt.take_due())
+                .map(|rt| (rt, Instant::now(), self.open_nodes(&heap)));
+            let node = plunge.take().or_else(|| {
+                let HeapNode(nd) = heap.pop()?;
+                *relock(&self.inflight[id]) = Some(nd.clone());
+                Some(nd)
+            });
+            let exhausted =
+                node.is_none() && self.inflight.iter().all(|slot| relock(slot).is_none());
+            drop(heap);
+            if let Some((rt, t0, open)) = snapshot {
+                rt.offer(snapshot_frame(ctx, rt, self, open), t0.elapsed());
+            }
+            if node.is_some() || exhausted {
+                return node;
+            }
+            std::thread::sleep(wait);
+            wait = (wait * 2).min(Duration::from_millis(1));
+        }
+    }
+
+    /// Marks worker `id` idle after it finished (or parked) its node.
+    fn release(&self, id: usize) {
+        relock(&self.inflight[id]).take();
+    }
+
+    /// Winds the search down on a limit: the unprocessed node goes back to
+    /// the heap so the final bound — and the final frame — still cover it.
+    fn halt(&self, id: usize, node: Node) {
+        self.hit_limit.store(true, AtomicOrdering::SeqCst);
+        self.stop.store(true, AtomicOrdering::SeqCst);
+        relock(&self.heap).push(HeapNode(node));
+        self.release(id);
+    }
+
+    /// Cleans up after worker `id` unwound from a panic: its node goes back
+    /// to the heap, so surviving workers never wait on the dead one. The
+    /// slot is cleared only after the push, so peers never see the tree
+    /// empty while the node is in between.
+    fn recover_after_panic(&self, id: usize) {
+        let taken = relock(&self.inflight[id]).clone();
+        if let Some(node) = taken {
+            relock(&self.heap).push(HeapNode(node));
+        }
+        self.release(id);
+    }
+
+    /// Reduced-cost fixing of the shared base bounds against a new
+    /// incumbent `obj`; every node claimed afterwards, by any worker,
+    /// starts from the tightened bounds.
+    fn refix(&self, ctx: &SearchCtx<'_>, obj: f64, stats: &mut Stats) {
+        if let Some((dj, root_bound)) = self.root_info {
+            let (lb, ub) = &mut *relock(&self.base);
+            stats.rc_fixed += fix_by_reduced_costs(lb, ub, dj, ctx.int_vars, root_bound, obj).len();
+        }
+    }
+}
+
+/// One search worker: claims nodes from the pool, solves their LP
+/// relaxations with a private simplex instance, publishes incumbents, and
+/// plunges depth-first into the child nearer the LP value while the
+/// sibling goes to the shared heap. Run inline as the only worker, it is
+/// the whole `threads: 1` search.
+fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats) {
+    let cfg = ctx.cfg;
+    let mut pc = PseudoCosts::new(ctx.root_lb.len());
+    let mut lb_buf = ctx.root_lb.to_vec();
+    let mut ub_buf = ctx.root_ub.to_vec();
+    // A worker resumes whatever node its slot already holds.
+    let mut plunge: Option<Node> = relock(&pool.inflight[id]).clone();
+    // Adaptive dive throttle: each dive that fails to improve the incumbent
+    // doubles the node period before the next one (capped), an improvement
+    // resets it — so dives stop eating wall clock once the tree has a good
+    // incumbent they cannot beat.
+    let mut dive_backoff = 1usize;
+    // Node-level cuts (opt-in): worker-local LP copy synced to the shared
+    // pool's append-only applied prefix before each node solve.
+    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
+    let mut local_lp: Option<LpData> = None;
+    let mut local_cuts = ctx.root_cuts;
+
+    while let Some(mut node) = pool.claim(ctx, id, plunge.take()) {
+        // Injected fault: a threaded worker panics exactly here, with its
+        // node in flight, so tests prove the recovery path re-queues it.
+        if pool.inflight.len() > 1 && cfg.faults.as_ref().is_some_and(|f| f.should_panic_worker(id))
+        {
+            panic!("injected panic in worker {id}");
+        }
+        // Prune against the freshest shared incumbent (∞ when none).
+        if node.bound >= ctx.inc.bound() - cfg.abs_gap {
+            pool.release(id);
+            continue;
+        }
+        // Limits (wall-clock, cancellation, injected expiry, stall abort,
+        // node count).
+        let done = pool.nodes.load(AtomicOrdering::SeqCst);
+        if ctx.should_stop(done) || cfg.node_limit.is_some_and(|nl| done >= nl) {
+            pool.halt(id, node);
+            break;
+        }
+        let node_idx = pool.nodes.fetch_add(1, AtomicOrdering::SeqCst) + 1;
+        if let Some(rt) = ctx.ckpt {
+            rt.bump_progress();
+        }
+
+        // Reconstruct bounds from the (possibly rc-tightened) base bounds.
+        {
+            let base = relock(&pool.base);
+            lb_buf.copy_from_slice(&base.0);
+            ub_buf.copy_from_slice(&base.1);
+        }
+        for &(j, lo, hi) in &node.changes {
+            lb_buf[j] = lb_buf[j].max(lo);
+            ub_buf[j] = ub_buf[j].min(hi);
+        }
+
+        stats.lp_solves += 1;
+        let node_lp = if node_cuts {
+            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
+        } else {
+            ctx.lp
+        };
+        let nn_now = node_lp.num_vars() + node_lp.num_rows();
+        let padded;
+        let warm: Option<&[VStat]> = match node.warm.as_deref() {
+            Some(w) if w.len() < nn_now => {
+                padded = pad_warm(w, nn_now);
+                Some(&padded)
+            }
+            Some(w) => Some(&w[..]),
+            None => None,
+        };
+        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
+            Ok(r) => r,
+            Err(_) => {
+                // Recovery ladder exhausted on this node: drop its subtree
+                // but remember its bound so the final status stays honest.
+                stats.dropped_nodes += 1;
+                let mut dropped = relock(&pool.dropped_bound);
+                *dropped = dropped.min(node.bound);
+                drop(dropped);
+                pool.release(id);
+                continue;
+            }
+        };
+        stats.simplex_iters += r.iters;
+        stats.phase1_iters += r.phase1_iters;
+        stats.dual_iters += r.dual_iters;
+        if r.recoveries > 0 {
+            stats.lp_recoveries += 1;
+        }
+        match r.status {
+            LpStatus::Infeasible => {
+                pool.release(id);
+                continue;
+            }
+            LpStatus::Unbounded => {
+                pool.unbounded.store(true, AtomicOrdering::SeqCst);
+                pool.stop.store(true, AtomicOrdering::SeqCst);
+                pool.release(id);
+                break;
+            }
+            LpStatus::Limit => {
+                pool.halt(id, node);
+                break;
+            }
+            LpStatus::Optimal => {}
+        }
+        if r.obj >= ctx.inc.bound() - cfg.abs_gap {
+            pool.release(id);
+            continue; // bound-dominated
+        }
+
+        let Some((mf_var, mf_frac)) = most_fractional(&r.x, &ctx.lp.c, ctx.int_vars, cfg.int_tol)
+        else {
+            // Integral: new incumbent.
+            let mut x = r.x.clone();
+            for &j in ctx.int_vars {
+                x[j] = x[j].round();
+            }
+            let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
+            if ctx.inc.offer(obj, x) {
+                if cfg.verbose {
+                    eprintln!(
+                        "[milp] node {:>6} (worker {}): incumbent {:.6}",
+                        node_idx,
+                        id,
+                        ctx.user_obj(obj)
+                    );
+                }
+                pool.refix(ctx, obj, stats);
+            }
+            pool.release(id);
+            continue;
+        };
+        // Node-level separation (opt-in): globally valid cover and clique
+        // cuts at this node's fractional point, applied to future node
+        // solves through the shared pool.
+        if node_cuts {
+            let mut cut_pool = relock(ctx.cut_pool);
+            cuts::separate_node(
+                ctx.cut_ctx,
+                &r.x,
+                ctx.root_lb,
+                ctx.root_ub,
+                &mut cut_pool,
+                cfg.cuts.max_cuts_per_round,
+            );
+            let _ = cut_pool.select(&r.x, &cfg.cuts);
+            ctx.cuts_applied_hint
+                .store(cut_pool.applied_len(), AtomicOrdering::Release);
+        }
+        let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
+        let xval = r.x[bvar];
+        let floor = xval.floor();
+        // Node-level reduced-cost fixing: this node's reduced costs bound
+        // the cost of moving any nonbasic integer off its bound, so against
+        // the incumbent the tightening is valid for the whole subtree —
+        // record it on the node so both children (and the dive below)
+        // inherit it. Fractional variables are basic (dj = 0), so the
+        // branch variable is never touched. A stale (worse) incumbent only
+        // under-fixes, so the tightening stays valid under races.
+        if cfg.reduced_cost_fixing {
+            let inc_obj = ctx.inc.bound();
+            if inc_obj.is_finite() {
+                let fixed = fix_by_reduced_costs(
+                    &mut lb_buf,
+                    &mut ub_buf,
+                    &r.dj,
+                    ctx.int_vars,
+                    r.obj,
+                    inc_obj,
+                );
+                if !fixed.is_empty() {
+                    stats.rc_fixed += fixed.len();
+                    node.changes.extend_from_slice(&fixed);
+                }
+            }
+        }
+        let warm = Arc::new(r.statuses);
+        // Occasional in-tree diving heuristic; dive more eagerly (and with
+        // both strategies) while no incumbent exists, and back off
+        // exponentially while dives keep coming up empty.
+        let have_inc = ctx.inc.bound().is_finite();
+        let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
+        if cfg.heuristics.enabled && node_idx % dive_period == 1 && node_idx > 1 {
+            let mut improved = false;
+            let strategies: &[heur::DiveStrategy] = if have_inc {
+                &[heur::DiveStrategy::NearestInteger]
+            } else {
+                &[
+                    heur::DiveStrategy::NearestInteger,
+                    heur::DiveStrategy::MostFractionalUp,
+                ]
+            };
+            for &strategy in strategies {
+                let Some(dd) = dive_window(ctx.deadline, 3.0) else {
+                    break;
+                };
+                if let Some((obj, x)) = heur::dive_with(
+                    strategy,
+                    ctx.reduced,
+                    node_lp,
+                    ctx.int_vars,
+                    &lb_buf,
+                    &ub_buf,
+                    cfg,
+                    Some(&warm),
+                    Some(dd),
+                ) {
+                    if ctx.inc.offer(obj, x) {
+                        stats.heuristic_solutions += 1;
+                        improved = true;
+                        pool.refix(ctx, obj, stats);
+                    }
+                }
+            }
+            dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
+        }
+        let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
+        // Attribute this node's LP degradation to the parent's branch
+        // direction (online pseudo-cost proxy).
+        let parent_frac_gain = (r.obj - node.bound).max(0.0);
+        if let Some(&(pvar, plo, _phi)) = node.changes.last() {
+            let went_up = plo.is_finite();
+            pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
+        }
+        // Children reach the heap before this worker's slot changes, so the
+        // open set never loses them.
+        match cfg.node_selection {
+            NodeSelection::BestBound => {
+                let mut heap = relock(&pool.heap);
+                heap.push(HeapNode(down_child));
+                heap.push(HeapNode(up_child));
+                drop(heap);
+                pool.release(id);
+            }
+            NodeSelection::BestBoundPlunge => {
+                // Plunge into the child nearer the LP value; the sibling
+                // goes to the shared heap for any worker.
+                let (keep, push) = if xval - floor < 0.5 {
+                    (down_child, up_child)
+                } else {
+                    (up_child, down_child)
+                };
+                relock(&pool.heap).push(HeapNode(push));
+                *relock(&pool.inflight[id]) = Some(keep.clone());
+                plunge = Some(keep);
+            }
+        }
     }
 }
 
@@ -945,318 +1585,33 @@ fn frame_node(n: &Node) -> FrameNode {
 }
 
 /// Assembles a complete [`SearchFrame`] from the runtime's static base
-/// plus the dynamic state captured by the caller. The cut pool is read
-/// here: its applied list is append-only and globally ordered, so a
-/// snapshot taken between a peer's append and its hint publish is still
-/// consistent (the restored LP simply catches the extras up lazily).
+/// plus the pool's dynamic state (node count, base bounds) and the open
+/// nodes the caller collected. The cut pool is read here: its applied list
+/// is append-only and globally ordered, so a snapshot taken between a
+/// peer's append and its hint publish is still consistent (the restored LP
+/// simply catches the extras up lazily).
 fn snapshot_frame(
     ctx: &SearchCtx<'_>,
     rt: &CkptRuntime,
-    nodes_done: usize,
-    base_lb: &[f64],
-    base_ub: &[f64],
+    pool: &NodePool<'_>,
     open_nodes: Vec<FrameNode>,
 ) -> SearchFrame {
     let mut frame = rt.base_frame();
-    frame.nodes_done = nodes_done;
+    frame.nodes_done = pool.nodes.load(AtomicOrdering::SeqCst);
     // Read the shared incumbent *after* the open set was collected: every
     // pruning decision reflected in that set used an incumbent at least as
     // old as this one, so the frame never pairs a pruned-down tree with a
     // weaker incumbent. LNS publications land here automatically.
     frame.incumbent = ctx.inc.best();
-    frame.base_lb = base_lb.to_vec();
-    frame.base_ub = base_ub.to_vec();
+    {
+        let base = relock(&pool.base);
+        frame.base_lb.clone_from(&base.0);
+        frame.base_ub.clone_from(&base.1);
+    }
     frame.cuts = relock(ctx.cut_pool).applied().to_vec();
     frame.root_cuts = ctx.root_cuts;
     frame.open_nodes = open_nodes;
     frame
-}
-
-/// Resumes a checkpointed solve from a decoded [`SearchFrame`]: rebuilds
-/// the base LP exactly as [`solve_milp_with`] would, verifies the frame's
-/// problem fingerprint, replays the accepted pricing batches in order,
-/// restores the cut pool and incumbent, and continues the tree search from
-/// the frame's open nodes. Resuming from *any* valid frame — even a stale
-/// one — yields the same final objective and proof status as an
-/// uninterrupted run; staleness only re-does work.
-///
-/// Fails with [`FrameError::Mismatch`] when the frame does not belong to
-/// this problem/configuration pairing; callers typically fall back to a
-/// cold solve.
-pub fn resume_milp_with(
-    problem: &Problem,
-    cfg: &Config,
-    start: Instant,
-    frame: SearchFrame,
-    mut columns: Option<&mut dyn ColumnSource>,
-) -> Result<Solution, FrameError> {
-    let deadline = cfg.time_limit.map(|d| start + d);
-    let minimize = problem.sense() == Sense::Minimize;
-    let mut stats = Stats {
-        resumed: true,
-        ..Stats::default()
-    };
-
-    // --- Rebuild the base LP exactly as the cold path does ---
-    let mut ps: Presolved = if cfg.presolve && columns.is_none() {
-        presolve(problem, minimize)
-    } else {
-        identity_presolved(problem)
-    };
-    stats.presolve_rows_removed = ps.rows_removed;
-    stats.presolve_vars_removed = ps.vars_removed;
-    if ps.conclusion.is_some() {
-        // The original solve never searched (so never wrote a frame) for a
-        // presolve-concluded problem; this frame is someone else's.
-        return Err(FrameError::Mismatch("presolve concluded the problem"));
-    }
-    let n = ps.reduced.num_vars();
-    let sign = if minimize { 1.0 } else { -1.0 };
-    let c: Vec<f64> = ps.reduced.objective().iter().map(|&v| sign * v).collect();
-    let (row_lb, row_ub): (Vec<f64>, Vec<f64>) = ps
-        .reduced
-        .row_ids()
-        .map(|r| ps.reduced.row_bounds(r))
-        .unzip();
-    let mut lp = LpData {
-        a: ps.reduced.matrix(),
-        c,
-        row_lb,
-        row_ub,
-    };
-    let mut root_lb: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).0).collect();
-    let mut root_ub: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).1).collect();
-    let mut int_vars: Vec<usize> = (0..n)
-        .filter(|&j| ps.reduced.var_type(VarId(j)) != VarType::Continuous)
-        .collect();
-    let obj_offset = ps.reduced.obj_offset();
-
-    if frame_fingerprint(&lp, &root_lb, &root_ub, &int_vars) != frame.fingerprint {
-        return Err(FrameError::Mismatch("problem fingerprint differs"));
-    }
-
-    // --- Replay the accepted pricing rounds ---
-    // Batch by batch, so side-row column indices (`num_vars + i` within
-    // their own round) resolve exactly as they did when first accepted.
-    if !frame.batches.is_empty() {
-        if columns.is_none() || !cfg.colgen.enabled {
-            return Err(FrameError::Mismatch(
-                "frame carries priced columns but column generation is off",
-            ));
-        }
-        if !pricing::replay_batches(
-            &mut ps,
-            &mut lp,
-            &mut root_lb,
-            &mut root_ub,
-            &mut int_vars,
-            &frame.batches,
-            sign,
-        ) {
-            return Err(FrameError::Mismatch("pricing batches do not fit the base LP"));
-        }
-        stats.cols_priced = frame.batches.iter().map(|b| b.cols.len()).sum();
-    }
-    if let Some(source) = &mut columns {
-        source.restore_state(&frame.user_data);
-    }
-
-    // --- Base bounds from the frame (they carry root rc-fixing) ---
-    if frame.base_lb.len() != root_lb.len() || frame.base_ub.len() != root_ub.len() {
-        return Err(FrameError::Mismatch("bound vector length differs"));
-    }
-    let root_lb = frame.base_lb.clone();
-    let root_ub = frame.base_ub.clone();
-    let int_vars = int_vars;
-    let reduced = &ps.reduced;
-
-    // --- Cut pool restore ---
-    // The root prefix is baked back into the base LP; the rest go into the
-    // pool only, and every worker catches them up lazily through
-    // `sync_cut_lp` — the pool being ahead of a restored LP is the normal,
-    // tolerated state of the append-only global order.
-    for cut in &frame.cuts {
-        if cut.coefs.iter().any(|&(j, _)| j >= lp.num_vars()) {
-            return Err(FrameError::Mismatch("cut references an unknown column"));
-        }
-    }
-    let root_rows = cuts::cuts_to_rows(&frame.cuts[..frame.root_cuts]);
-    if !root_rows.is_empty() {
-        lp.append_rows(&root_rows);
-    }
-    let cut_ctx = cuts::CutContext::from_problem(reduced);
-    let mut pool = cuts::CutPool::new();
-    let total_cuts = frame.cuts.len();
-    let root_cuts = frame.root_cuts;
-    pool.restore_applied(frame.cuts.clone());
-    let cuts_applied_hint = AtomicUsize::new(total_cuts);
-    let cut_pool = Mutex::new(pool);
-    let root_cut_bound = frame.root_bound;
-
-    // --- Incumbent and open nodes ---
-    let inc = Incumbent::new(start);
-    if let Some((obj, x)) = frame.incumbent.clone() {
-        if x.len() != lp.num_vars() {
-            return Err(FrameError::Mismatch("incumbent length differs"));
-        }
-        inc.offer(obj, x);
-    }
-    if frame
-        .open_nodes
-        .iter()
-        .any(|nd| nd.changes.iter().any(|&(j, _, _)| j >= root_lb.len()))
-    {
-        return Err(FrameError::Mismatch("node change references an unknown column"));
-    }
-    // Re-solve the root relaxation once against the restored LP (base
-    // columns + replayed pricing + baked root cuts). Frames drop warm
-    // bases, but every open node is just a set of bound deltas from this
-    // root, so the root basis stays dual-feasible for all of them — one
-    // solve here turns thousands of would-be cold node solves back into
-    // short dual-simplex reoptimizations. Failure is non-fatal: nodes
-    // then cold-solve exactly as before.
-    stats.lp_solves += 1;
-    let root_res = match solve_lp(&lp, &root_lb, &root_ub, cfg, None, deadline) {
-        Ok(r) if r.status == LpStatus::Optimal => {
-            stats.simplex_iters += r.iters;
-            stats.phase1_iters += r.phase1_iters;
-            stats.dual_iters += r.dual_iters;
-            Some(r)
-        }
-        _ => None,
-    };
-    let root_warm = root_res
-        .as_ref()
-        .map(|r| Arc::new(r.statuses.clone()));
-    let root_djb_owned = root_res
-        .as_ref()
-        .filter(|_| cfg.reduced_cost_fixing && !int_vars.is_empty())
-        .map(|r| (r.dj.clone(), r.obj));
-
-    // Root heuristics, same recipe as a cold solve: the frame's incumbent
-    // is whatever the killed run had found by its last snapshot, which can
-    // be far from what a fresh root dive reaches in seconds — and the
-    // incumbent drives all pruning below. Keep whichever is better.
-    if cfg.heuristics.enabled && !int_vars.is_empty() {
-        if let Some(root) = &root_res {
-            if let Some((obj, x)) = heur::try_rounding(reduced, &lp, &root.x, cfg.int_tol) {
-                if inc.offer(obj, x) {
-                    stats.heuristic_solutions += 1;
-                }
-            }
-            let root_dive_budget = cfg
-                .time_limit
-                .map(|t| (t.as_secs_f64() * 0.1).clamp(1.0, 15.0))
-                .unwrap_or(15.0);
-            for strategy in [
-                heur::DiveStrategy::NearestInteger,
-                heur::DiveStrategy::MostFractionalUp,
-            ] {
-                let Some(dd) = dive_window(deadline, root_dive_budget) else {
-                    break;
-                };
-                if let Some((obj, x)) = heur::dive_with(
-                    strategy,
-                    reduced,
-                    &lp,
-                    &int_vars,
-                    &root_lb,
-                    &root_ub,
-                    cfg,
-                    Some(&root.statuses),
-                    Some(dd),
-                ) {
-                    if inc.offer(obj, x) {
-                        stats.heuristic_solutions += 1;
-                    }
-                }
-            }
-        }
-    }
-    let roots: Vec<Node> = frame
-        .open_nodes
-        .iter()
-        .map(|nd| Node {
-            changes: nd.changes.clone(),
-            bound: nd.bound,
-            depth: nd.depth,
-            warm: root_warm.clone(),
-        })
-        .collect();
-    stats.nodes = frame.nodes_done;
-
-    // --- Durable-solve runtime (the resumed run checkpoints too) ---
-    let ckpt_rt = cfg.checkpoint.as_ref().map(|ck| {
-        let base = checkpoint::FrameBase {
-            fingerprint: frame.fingerprint,
-            root_bound: frame.root_bound,
-            base_lb: root_lb.clone(),
-            base_ub: root_ub.clone(),
-            batches: frame.batches.clone(),
-            user_data: frame.user_data.clone(),
-        };
-        CkptRuntime::new(ck.clone(), base, cfg.faults.clone())
-    });
-
-    let ctx = SearchCtx {
-        lp: &lp,
-        root_lb: &root_lb,
-        root_ub: &root_ub,
-        int_vars: &int_vars,
-        reduced,
-        cfg,
-        deadline,
-        sign,
-        obj_offset,
-        cut_ctx: &cut_ctx,
-        cut_pool: &cut_pool,
-        cuts_applied_hint: &cuts_applied_hint,
-        root_cuts,
-        ckpt: ckpt_rt.as_ref(),
-        inc: &inc,
-    };
-
-    // --- Search ---
-    // Root reduced costs come from the re-solve above (when it succeeded),
-    // so incumbent-time refixing keeps working across a resume; without
-    // them only pruning strength is lost, never correctness.
-    let nthreads = cfg.effective_threads();
-    let root_djb = root_djb_owned
-        .as_ref()
-        .map(|(dj, obj)| (dj.as_slice(), *obj));
-    // The LNS engine rides along on a resumed solve exactly as on a cold
-    // one; it needs the re-solved root point, so a failed root re-solve
-    // just skips it (pruning strength lost, never correctness).
-    let lns_in = (cfg.heuristics.enabled && cfg.heuristics.lns && !int_vars.is_empty())
-        .then_some(())
-        .and(root_res.as_ref())
-        .map(|root| heur::LnsInput {
-            reduced,
-            lp: &lp,
-            int_vars: &int_vars,
-            base_lb: &root_lb,
-            base_ub: &root_ub,
-            root_x: &root.x,
-            root_warm: Some(&root.statuses),
-            neighborhoods: heur::build_neighborhoods(&cut_ctx.gub_groups, &int_vars),
-            cfg,
-            deadline,
-        });
-    let outcome = run_search_with_lns(&ctx, roots, root_djb, nthreads, lns_in, &mut stats);
-
-    Ok(wrap_up(
-        outcome,
-        inc,
-        &ps,
-        cfg,
-        &cut_pool,
-        ckpt_rt.as_ref(),
-        root_cut_bound,
-        sign,
-        obj_offset,
-        start,
-        stats,
-    ))
 }
 
 /// Pads a warm-start vector produced against an LP with fewer cut rows:
@@ -1303,357 +1658,6 @@ fn sync_cut_lp<'b>(
     match local_lp {
         Some(lp) => lp,
         None => ctx.lp,
-    }
-}
-
-/// The original single-threaded best-bound-with-plunging loop; this is the
-/// exact `threads: 1` behavior. Accepts multiple open roots so the parallel
-/// search can hand over its surviving node pool after worker panics.
-///
-/// `root_info` carries the root reduced costs and root LP bound; when
-/// present, every incumbent improvement re-runs reduced-cost fixing against
-/// the base bounds all nodes are reconstructed from.
-fn search_sequential(
-    ctx: &SearchCtx<'_>,
-    roots: Vec<Node>,
-    root_info: Option<(&[f64], f64)>,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let cfg = ctx.cfg;
-    let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
-    for root in roots {
-        heap.push(HeapNode(root));
-    }
-    let mut pc = PseudoCosts::new(ctx.root_lb.len());
-    // Base bounds shared by every node; tightened further on incumbent
-    // improvements via reduced-cost fixing (globally valid because the
-    // fixing argument uses the root bound and the global incumbent).
-    let mut base_lb = ctx.root_lb.to_vec();
-    let mut base_ub = ctx.root_ub.to_vec();
-    let mut lb_buf = ctx.root_lb.to_vec();
-    let mut ub_buf = ctx.root_ub.to_vec();
-    let mut hit_limit = false;
-    let mut dropped_bound = f64::INFINITY;
-    let mut plunge_next: Option<Node> = None;
-    // Adaptive dive throttle: each dive that fails to improve the incumbent
-    // doubles the node period before the next one (capped), an improvement
-    // resets it — so dives stop eating wall clock once the tree has a good
-    // incumbent they cannot beat.
-    let mut dive_backoff = 1usize;
-    // Node-level cuts (opt-in): local LP copy synced to the shared pool's
-    // applied prefix before each node solve.
-    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
-    let mut local_lp: Option<LpData> = None;
-    let mut local_cuts = ctx.root_cuts;
-
-    'outer: loop {
-        // Global bound = min over open nodes (heap top + any plunge node).
-        let open_bound = match (&plunge_next, heap.peek()) {
-            (Some(p), Some(h)) => p.bound.min(h.0.bound),
-            (Some(p), None) => p.bound,
-            (None, Some(h)) => h.0.bound,
-            (None, None) => f64::INFINITY,
-        };
-        // Gap-based termination (the incumbent may have just improved via
-        // an LNS publication — the same check picks that up immediately).
-        let inc_obj = ctx.inc.bound();
-        if inc_obj.is_finite() {
-            let gap = inc_obj - open_bound;
-            if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
-                break;
-            }
-        }
-        // Snapshot at the node boundary: nothing is in flight here, so the
-        // heap, the plunge slot, and the incumbent are the complete search
-        // state.
-        if let Some(rt) = ctx.ckpt {
-            if rt.take_due() {
-                let t0 = Instant::now();
-                let open: Vec<FrameNode> = heap
-                    .iter()
-                    .map(|h| frame_node(&h.0))
-                    .chain(plunge_next.as_ref().map(frame_node))
-                    .collect();
-                let frame = snapshot_frame(ctx, rt, stats.nodes, &base_lb, &base_ub, open);
-                rt.offer(frame, t0.elapsed());
-            }
-        }
-        let mut node = match plunge_next.take() {
-            Some(nd) => nd,
-            None => match heap.pop() {
-                Some(HeapNode(nd)) => nd,
-                None => break,
-            },
-        };
-        // Prune against the freshest shared incumbent (∞ when none).
-        if node.bound >= ctx.inc.bound() - cfg.abs_gap {
-            continue;
-        }
-        // Limits (wall-clock, cancellation, injected expiry, stall abort,
-        // node count). The popped node goes back to the plunge slot before
-        // the break so the wind-down bound — and any final checkpoint
-        // frame — still covers it.
-        if ctx.should_stop(stats.nodes) {
-            hit_limit = true;
-            plunge_next = Some(node);
-            break;
-        }
-        if let Some(nl) = cfg.node_limit {
-            if stats.nodes >= nl {
-                hit_limit = true;
-                plunge_next = Some(node);
-                break;
-            }
-        }
-        stats.nodes += 1;
-        if let Some(rt) = ctx.ckpt {
-            rt.bump_progress();
-        }
-
-        // Reconstruct bounds from the (possibly rc-tightened) base bounds.
-        lb_buf.copy_from_slice(&base_lb);
-        ub_buf.copy_from_slice(&base_ub);
-        for &(j, lo, hi) in &node.changes {
-            lb_buf[j] = lb_buf[j].max(lo);
-            ub_buf[j] = ub_buf[j].min(hi);
-        }
-
-        stats.lp_solves += 1;
-        let node_lp = if node_cuts {
-            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
-        } else {
-            ctx.lp
-        };
-        let nn_now = node_lp.num_vars() + node_lp.num_rows();
-        let padded;
-        let warm: Option<&[VStat]> = match node.warm.as_deref() {
-            Some(w) if w.len() < nn_now => {
-                padded = pad_warm(w, nn_now);
-                Some(&padded)
-            }
-            Some(w) => Some(&w[..]),
-            None => None,
-        };
-        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
-            Ok(r) => r,
-            Err(_) => {
-                // Recovery ladder exhausted on this node: drop its subtree
-                // but remember its bound so the final status stays honest.
-                stats.dropped_nodes += 1;
-                dropped_bound = dropped_bound.min(node.bound);
-                continue;
-            }
-        };
-        stats.simplex_iters += r.iters;
-        stats.phase1_iters += r.phase1_iters;
-        stats.dual_iters += r.dual_iters;
-        if r.recoveries > 0 {
-            stats.lp_recoveries += 1;
-        }
-        match r.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => {
-                return SearchOutcome {
-                    open_bound: f64::NEG_INFINITY,
-                    hit_limit: false,
-                    unbounded: true,
-                    dropped_bound: f64::INFINITY,
-                }
-            }
-            LpStatus::Limit => {
-                hit_limit = true;
-                plunge_next = Some(node);
-                break 'outer;
-            }
-            LpStatus::Optimal => {}
-        }
-
-        if r.obj >= ctx.inc.bound() - cfg.abs_gap {
-            continue; // bound-dominated
-        }
-
-        match most_fractional(&r.x, &ctx.lp.c, ctx.int_vars, cfg.int_tol) {
-            None => {
-                // Integral: new incumbent.
-                let mut x = r.x.clone();
-                for &j in ctx.int_vars {
-                    x[j] = x[j].round();
-                }
-                let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
-                if ctx.inc.offer(obj, x) {
-                    if cfg.verbose {
-                        eprintln!(
-                            "[milp] node {:>6}: incumbent {:.6} (bound {:.6})",
-                            stats.nodes,
-                            ctx.user_obj(obj),
-                            ctx.user_obj(open_bound.min(r.obj))
-                        );
-                    }
-                    if let Some((dj, root_bound)) = root_info {
-                        stats.rc_fixed += fix_by_reduced_costs(
-                            &mut base_lb,
-                            &mut base_ub,
-                            dj,
-                            ctx.int_vars,
-                            root_bound,
-                            obj,
-                        )
-                        .len();
-                    }
-                }
-                continue;
-            }
-            Some((mf_var, mf_frac)) => {
-                // Node-level separation (opt-in): globally valid cover and
-                // clique cuts at this node's fractional point, applied to
-                // future node solves through the shared pool.
-                if node_cuts {
-                    let mut pool = relock(ctx.cut_pool);
-                    cuts::separate_node(
-                        ctx.cut_ctx,
-                        &r.x,
-                        ctx.root_lb,
-                        ctx.root_ub,
-                        &mut pool,
-                        cfg.cuts.max_cuts_per_round,
-                    );
-                    let _ = pool.select(&r.x, &cfg.cuts);
-                    ctx.cuts_applied_hint
-                        .store(pool.applied_len(), AtomicOrdering::Release);
-                }
-                // Choose branching variable.
-                let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
-                let xval = r.x[bvar];
-                let floor = xval.floor();
-                // Node-level reduced-cost fixing: this node's reduced costs
-                // bound the cost of moving any nonbasic integer off its
-                // bound, so against the incumbent the tightening is valid
-                // for the whole subtree — record it on the node so both
-                // children (and the dive below) inherit it. Fractional
-                // variables are basic (dj = 0), so the branch variable is
-                // never touched.
-                if cfg.reduced_cost_fixing {
-                    let inc_obj = ctx.inc.bound();
-                    if inc_obj.is_finite() {
-                        let fixed = fix_by_reduced_costs(
-                            &mut lb_buf,
-                            &mut ub_buf,
-                            &r.dj,
-                            ctx.int_vars,
-                            r.obj,
-                            inc_obj,
-                        );
-                        if !fixed.is_empty() {
-                            stats.rc_fixed += fixed.len();
-                            node.changes.extend_from_slice(&fixed);
-                        }
-                    }
-                }
-                let warm = Arc::new(r.statuses);
-                // Occasional in-tree diving heuristic; dive more eagerly
-                // (and with both strategies) while no incumbent exists, and
-                // back off exponentially while dives keep coming up empty.
-                let have_inc = ctx.inc.bound().is_finite();
-                let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
-                if cfg.heuristics.enabled && stats.nodes % dive_period == 1 && stats.nodes > 1 {
-                    let mut improved = false;
-                    let strategies: &[heur::DiveStrategy] = if have_inc {
-                        &[heur::DiveStrategy::NearestInteger]
-                    } else {
-                        &[
-                            heur::DiveStrategy::NearestInteger,
-                            heur::DiveStrategy::MostFractionalUp,
-                        ]
-                    };
-                    for &strategy in strategies {
-                        let Some(dd) = dive_window(ctx.deadline, 3.0) else {
-                            break;
-                        };
-                        if let Some((obj, x)) = heur::dive_with(
-                            strategy,
-                            ctx.reduced,
-                            node_lp,
-                            ctx.int_vars,
-                            &lb_buf,
-                            &ub_buf,
-                            cfg,
-                            Some(&warm),
-                            Some(dd),
-                        ) {
-                            if ctx.inc.offer(obj, x) {
-                                stats.heuristic_solutions += 1;
-                                improved = true;
-                                if let Some((dj, root_bound)) = root_info {
-                                    stats.rc_fixed += fix_by_reduced_costs(
-                                        &mut base_lb,
-                                        &mut base_ub,
-                                        dj,
-                                        ctx.int_vars,
-                                        root_bound,
-                                        obj,
-                                    )
-                                    .len();
-                                }
-                            }
-                        }
-                    }
-                    dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
-                }
-                let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
-                // Attribute this node's LP degradation to the parent's
-                // branch direction (online pseudo-cost proxy).
-                let parent_frac_gain = (r.obj - node.bound).max(0.0);
-                if let Some(&(pvar, plo, _phi)) = node.changes.last() {
-                    let went_up = plo.is_finite();
-                    pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
-                }
-                match cfg.node_selection {
-                    NodeSelection::BestBound => {
-                        heap.push(HeapNode(down_child));
-                        heap.push(HeapNode(up_child));
-                    }
-                    NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
-                        // plunge into the child nearer the LP value
-                        let frac = xval - floor;
-                        if frac < 0.5 {
-                            plunge_next = Some(down_child);
-                            heap.push(HeapNode(up_child));
-                        } else {
-                            plunge_next = Some(up_child);
-                            heap.push(HeapNode(down_child));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let open_bound = match (&plunge_next, heap.peek()) {
-        (Some(p), Some(h)) => p.bound.min(h.0.bound),
-        (Some(p), None) => p.bound,
-        (None, Some(h)) => h.0.bound,
-        (None, None) => f64::INFINITY,
-    };
-    // Limit wind-down: deposit a final frame covering every still-open node
-    // (the watchdog's exit drain persists it), so a deadline-expired or
-    // stall-aborted solve resumes from exactly where it stopped.
-    if hit_limit {
-        if let Some(rt) = ctx.ckpt {
-            let t0 = Instant::now();
-            let open: Vec<FrameNode> = heap
-                .iter()
-                .map(|h| frame_node(&h.0))
-                .chain(plunge_next.as_ref().map(frame_node))
-                .collect();
-            let frame = snapshot_frame(ctx, rt, stats.nodes, &base_lb, &base_ub, open);
-            rt.offer(frame, t0.elapsed());
-        }
-    }
-    SearchOutcome {
-        open_bound,
-        hit_limit,
-        unbounded: false,
-        dropped_bound,
     }
 }
 
@@ -1722,568 +1726,6 @@ fn make_children(
 }
 
 const INF_BITS: u64 = f64::INFINITY.to_bits();
-
-/// State shared by the parallel search workers.
-struct ParShared {
-    /// Open nodes, best bound on top.
-    heap: Mutex<BinaryHeap<HeapNode>>,
-    /// Workers currently processing a node (or a plunge chain). The tree is
-    /// exhausted exactly when the heap is empty and nobody is active.
-    active: AtomicUsize,
-    /// Per-worker bound of the node being processed (f64 bits; ∞ = idle).
-    /// The global open bound is min(heap top, these slots).
-    slots: Vec<AtomicU64>,
-    /// All workers drain and exit (gap reached, limit hit, or unbounded).
-    stop: AtomicBool,
-    hit_limit: AtomicBool,
-    unbounded: AtomicBool,
-    nodes: AtomicUsize,
-    lp_solves: AtomicUsize,
-    simplex_iters: AtomicUsize,
-    phase1_iters: AtomicUsize,
-    dual_iters: AtomicUsize,
-    rc_fixed: AtomicUsize,
-    heuristic_solutions: AtomicUsize,
-    /// A clone of the node each worker is currently processing, so a panic
-    /// can re-queue it instead of losing the subtree.
-    inflight: Vec<Mutex<Option<Node>>>,
-    /// Workers that panicked and were isolated.
-    worker_panics: AtomicUsize,
-    /// Nodes dropped after unrecoverable LP errors.
-    dropped_nodes: AtomicUsize,
-    /// Smallest bound among dropped nodes (f64 bits; ∞ = none).
-    dropped_bound: AtomicU64,
-    /// LP solves that needed at least one recovery rung.
-    lp_recoveries: AtomicUsize,
-}
-
-impl ParShared {
-    /// Pushes an unprocessed node back (worker exiting mid-node).
-    fn park_node(&self, node: Node) {
-        relock(&self.heap).push(HeapNode(node));
-    }
-
-    /// Marks worker `id` idle after it finished (or parked) a node.
-    fn release(&self, id: usize) {
-        relock(&self.inflight[id]).take();
-        self.slots[id].store(INF_BITS, AtomicOrdering::SeqCst);
-        self.active.fetch_sub(1, AtomicOrdering::SeqCst);
-    }
-
-    /// Records the bound of a node dropped after an unrecoverable LP error.
-    fn record_dropped(&self, bound: f64) {
-        self.dropped_nodes.fetch_add(1, AtomicOrdering::SeqCst);
-        let mut cur = self.dropped_bound.load(AtomicOrdering::SeqCst);
-        while bound < f64::from_bits(cur) {
-            match self.dropped_bound.compare_exchange(
-                cur,
-                bound.to_bits(),
-                AtomicOrdering::SeqCst,
-                AtomicOrdering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Cleans up after worker `id` unwound from a panic: the in-flight node
-    /// (if any) goes back to the pool and the worker's active slot is
-    /// surrendered so surviving workers never wait on the dead one.
-    fn recover_after_panic(&self, id: usize) {
-        self.worker_panics.fetch_add(1, AtomicOrdering::SeqCst);
-        let taken = relock(&self.inflight[id]).take();
-        if let Some(node) = taken {
-            self.park_node(node);
-        }
-        if self.slots[id].load(AtomicOrdering::SeqCst) != INF_BITS {
-            self.release(id);
-        }
-    }
-}
-
-/// Multi-threaded best-bound search over the shared node pool.
-fn search_parallel(
-    ctx: &SearchCtx<'_>,
-    nthreads: usize,
-    roots: Vec<Node>,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let shared = ParShared {
-        heap: Mutex::new(BinaryHeap::new()),
-        active: AtomicUsize::new(0),
-        slots: (0..nthreads).map(|_| AtomicU64::new(INF_BITS)).collect(),
-        stop: AtomicBool::new(false),
-        hit_limit: AtomicBool::new(false),
-        unbounded: AtomicBool::new(false),
-        nodes: AtomicUsize::new(stats.nodes),
-        lp_solves: AtomicUsize::new(0),
-        simplex_iters: AtomicUsize::new(0),
-        phase1_iters: AtomicUsize::new(0),
-        dual_iters: AtomicUsize::new(0),
-        rc_fixed: AtomicUsize::new(0),
-        heuristic_solutions: AtomicUsize::new(0),
-        inflight: (0..nthreads).map(|_| Mutex::new(None)).collect(),
-        worker_panics: AtomicUsize::new(0),
-        dropped_nodes: AtomicUsize::new(0),
-        dropped_bound: AtomicU64::new(INF_BITS),
-        lp_recoveries: AtomicUsize::new(0),
-    };
-    {
-        let mut heap = relock(&shared.heap);
-        for root in roots {
-            heap.push(HeapNode(root));
-        }
-    }
-
-    std::thread::scope(|s| {
-        for id in 0..nthreads {
-            let shared = &shared;
-            s.spawn(move || {
-                // Isolate panics: a poisoned worker surrenders its node and
-                // slot; the survivors keep searching with the incumbent
-                // intact. AssertUnwindSafe is justified because every shared
-                // structure is either atomic or repaired by relock().
-                if catch_unwind(AssertUnwindSafe(|| worker(ctx, shared, id))).is_err() {
-                    shared.recover_after_panic(id);
-                }
-            });
-        }
-    });
-
-    stats.nodes = shared.nodes.load(AtomicOrdering::SeqCst);
-    stats.lp_solves += shared.lp_solves.load(AtomicOrdering::SeqCst);
-    stats.simplex_iters += shared.simplex_iters.load(AtomicOrdering::SeqCst);
-    stats.phase1_iters += shared.phase1_iters.load(AtomicOrdering::SeqCst);
-    stats.dual_iters += shared.dual_iters.load(AtomicOrdering::SeqCst);
-    stats.rc_fixed += shared.rc_fixed.load(AtomicOrdering::SeqCst);
-    stats.heuristic_solutions += shared.heuristic_solutions.load(AtomicOrdering::SeqCst);
-    stats.worker_panics += shared.worker_panics.load(AtomicOrdering::SeqCst);
-    stats.dropped_nodes += shared.dropped_nodes.load(AtomicOrdering::SeqCst);
-    stats.lp_recoveries += shared.lp_recoveries.load(AtomicOrdering::SeqCst);
-    let stopped = shared.stop.load(AtomicOrdering::SeqCst);
-    let panics = shared.worker_panics.load(AtomicOrdering::SeqCst);
-    let dropped_bound = f64::from_bits(shared.dropped_bound.load(AtomicOrdering::SeqCst));
-    let heap = shared
-        .heap
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-
-    // Limit wind-down: every worker parked its node before exiting, so the
-    // drained heap is the complete open set — deposit it as the final
-    // frame for the watchdog's exit drain.
-    if shared.hit_limit.load(AtomicOrdering::SeqCst) {
-        if let Some(rt) = ctx.ckpt {
-            let t0 = Instant::now();
-            let open: Vec<FrameNode> = heap.iter().map(|h| frame_node(&h.0)).collect();
-            let frame = snapshot_frame(ctx, rt, stats.nodes, ctx.root_lb, ctx.root_ub, open);
-            rt.offer(frame, t0.elapsed());
-        }
-    }
-
-    // Degrade to sequential: if panics killed every worker while open nodes
-    // remain (no stop flag, non-empty pool), finish the search single-
-    // threaded so the result is still exact.
-    if panics > 0 && !stopped && !heap.is_empty() {
-        if ctx.cfg.verbose {
-            eprintln!(
-                "[milp] {} worker(s) panicked with {} open nodes; continuing sequentially",
-                panics,
-                heap.len()
-            );
-        }
-        let roots: Vec<Node> = heap.into_iter().map(|h| h.0).collect();
-        // stats.nodes already carries the parallel phase's count; the
-        // sequential loop increments (and checks node_limit against) the
-        // cumulative total.
-        let mut outcome = search_sequential(ctx, roots, None, stats);
-        outcome.dropped_bound = outcome.dropped_bound.min(dropped_bound);
-        return outcome;
-    }
-
-    SearchOutcome {
-        open_bound: heap.peek().map_or(f64::INFINITY, |h| h.0.bound),
-        hit_limit: shared.hit_limit.load(AtomicOrdering::SeqCst),
-        unbounded: shared.unbounded.load(AtomicOrdering::SeqCst),
-        dropped_bound,
-    }
-}
-
-/// Pops the best open node, waiting while other workers may still produce
-/// children. Returns `None` when the search is over (stop flag, gap
-/// reached, or tree exhausted). On `Some`, the worker is marked active and
-/// its slot carries the node bound.
-fn pop_next(ctx: &SearchCtx<'_>, shared: &ParShared, id: usize) -> Option<Node> {
-    let cfg = ctx.cfg;
-    // Starvation backoff: on an oversubscribed host a tight fixed-period
-    // poll steals the core from whichever worker is producing children, so
-    // the wait doubles (capped) each empty round and resets on success.
-    let mut wait = Duration::from_micros(50);
-    loop {
-        if shared.stop.load(AtomicOrdering::SeqCst) {
-            return None;
-        }
-        let popped = {
-            let mut heap = relock(&shared.heap);
-            // Gap-based termination against the global open bound. The slot
-            // scan stays inside the lock: claims store their slot under it,
-            // so every open node is visible either in the heap or a slot.
-            let heap_min = heap.peek().map_or(f64::INFINITY, |h| h.0.bound);
-            let slot_min = shared
-                .slots
-                .iter()
-                .map(|s| f64::from_bits(s.load(AtomicOrdering::SeqCst)))
-                .fold(f64::INFINITY, f64::min);
-            let open_bound = heap_min.min(slot_min);
-            let inc_obj = ctx.inc.bound();
-            if inc_obj.is_finite() {
-                let gap = inc_obj - open_bound;
-                if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
-                    shared.stop.store(true, AtomicOrdering::SeqCst);
-                    return None;
-                }
-            }
-            match heap.pop() {
-                Some(HeapNode(nd)) => {
-                    // Claim under the lock so idle peers never observe an
-                    // empty heap with zero active workers mid-handoff, and
-                    // so checkpoint snapshots — which read the inflight
-                    // slots while holding this same heap lock — always see
-                    // the node in the heap or in the slot, never in the gap
-                    // between. (Lock order is heap → inflight everywhere.)
-                    shared.active.fetch_add(1, AtomicOrdering::SeqCst);
-                    shared.slots[id].store(nd.bound.to_bits(), AtomicOrdering::SeqCst);
-                    *relock(&shared.inflight[id]) = Some(nd.clone());
-                    Some(nd)
-                }
-                None => {
-                    if shared.active.load(AtomicOrdering::SeqCst) == 0 {
-                        return None; // tree exhausted
-                    }
-                    None
-                }
-            }
-        };
-        if let Some(nd) = popped {
-            return Some(nd);
-        }
-        // Heap empty but peers are still expanding: wait for children.
-        std::thread::sleep(wait);
-        wait = (wait * 2).min(Duration::from_millis(1));
-    }
-}
-
-/// One parallel search worker: pops best-bound nodes, solves their LP
-/// relaxations with a private simplex instance, publishes incumbents, and
-/// plunges locally like the sequential loop.
-fn worker(ctx: &SearchCtx<'_>, shared: &ParShared, id: usize) {
-    let cfg = ctx.cfg;
-    let mut pc = PseudoCosts::new(ctx.root_lb.len());
-    let mut lb_buf = ctx.root_lb.to_vec();
-    let mut ub_buf = ctx.root_ub.to_vec();
-    let mut plunge_next: Option<Node> = None;
-    let mut dive_backoff = 1usize;
-    // Node-level cuts (opt-in): worker-local LP copy synced to the shared
-    // pool's append-only applied prefix before each node solve.
-    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
-    let mut local_lp: Option<LpData> = None;
-    let mut local_cuts = ctx.root_cuts;
-
-    loop {
-        let mut node = match plunge_next.take() {
-            Some(nd) => {
-                if shared.stop.load(AtomicOrdering::SeqCst) {
-                    shared.park_node(nd);
-                    shared.release(id);
-                    break;
-                }
-                shared.slots[id].store(nd.bound.to_bits(), AtomicOrdering::SeqCst);
-                *relock(&shared.inflight[id]) = Some(nd.clone());
-                nd
-            }
-            None => match pop_next(ctx, shared, id) {
-                Some(nd) => nd,
-                None => break, // idle worker: nothing to release
-            },
-        };
-
-        // Injected fault: panic exactly here, with the node in flight, so
-        // tests prove the recovery path re-queues it.
-        if cfg.faults.as_ref().is_some_and(|f| f.should_panic_worker(id)) {
-            panic!("injected panic in worker {id}");
-        }
-
-        // Snapshot claim: this worker's node already sits in its inflight
-        // slot, so heap ∪ inflight covers every open node. The slots are
-        // read under the heap lock — claims store them inside `pop_next`'s
-        // critical section, and finish paths push children before clearing
-        // their slot — so a frame can duplicate a node (harmless: resumed
-        // work is re-done) but never lose one (which would be unsound).
-        if let Some(rt) = ctx.ckpt {
-            if rt.take_due() {
-                let t0 = Instant::now();
-                let open = {
-                    let heap = relock(&shared.heap);
-                    let mut open: Vec<FrameNode> =
-                        heap.iter().map(|h| frame_node(&h.0)).collect();
-                    for slot in &shared.inflight {
-                        if let Some(n) = relock(slot).as_ref() {
-                            open.push(frame_node(n));
-                        }
-                    }
-                    open
-                };
-                let frame = snapshot_frame(
-                    ctx,
-                    rt,
-                    shared.nodes.load(AtomicOrdering::SeqCst),
-                    ctx.root_lb,
-                    ctx.root_ub,
-                    open,
-                );
-                rt.offer(frame, t0.elapsed());
-            }
-        }
-
-        // Prune against the freshest incumbent.
-        if node.bound >= ctx.inc.bound() - cfg.abs_gap {
-            shared.release(id);
-            continue;
-        }
-        // Limits (wall-clock, cancellation, injected expiry, node count).
-        if ctx.should_stop(shared.nodes.load(AtomicOrdering::SeqCst)) {
-            shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-            shared.stop.store(true, AtomicOrdering::SeqCst);
-            shared.park_node(node);
-            shared.release(id);
-            break;
-        }
-        if let Some(nl) = cfg.node_limit {
-            if shared.nodes.load(AtomicOrdering::SeqCst) >= nl {
-                shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.park_node(node);
-                shared.release(id);
-                break;
-            }
-        }
-        let node_idx = shared.nodes.fetch_add(1, AtomicOrdering::SeqCst) + 1;
-        if let Some(rt) = ctx.ckpt {
-            rt.bump_progress();
-        }
-
-        // Reconstruct bounds.
-        lb_buf.copy_from_slice(ctx.root_lb);
-        ub_buf.copy_from_slice(ctx.root_ub);
-        for &(j, lo, hi) in &node.changes {
-            lb_buf[j] = lb_buf[j].max(lo);
-            ub_buf[j] = ub_buf[j].min(hi);
-        }
-
-        shared.lp_solves.fetch_add(1, AtomicOrdering::SeqCst);
-        let node_lp = if node_cuts {
-            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
-        } else {
-            ctx.lp
-        };
-        let nn_now = node_lp.num_vars() + node_lp.num_rows();
-        let padded;
-        let warm: Option<&[VStat]> = match node.warm.as_deref() {
-            Some(w) if w.len() < nn_now => {
-                padded = pad_warm(w, nn_now);
-                Some(&padded)
-            }
-            Some(w) => Some(&w[..]),
-            None => None,
-        };
-        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
-            Ok(r) => r,
-            Err(_) => {
-                // Recovery ladder exhausted: drop the subtree, keep its
-                // bound so the final status stays honest.
-                shared.record_dropped(node.bound);
-                shared.release(id);
-                continue;
-            }
-        };
-        shared
-            .simplex_iters
-            .fetch_add(r.iters, AtomicOrdering::SeqCst);
-        shared
-            .phase1_iters
-            .fetch_add(r.phase1_iters, AtomicOrdering::SeqCst);
-        shared
-            .dual_iters
-            .fetch_add(r.dual_iters, AtomicOrdering::SeqCst);
-        if r.recoveries > 0 {
-            shared.lp_recoveries.fetch_add(1, AtomicOrdering::SeqCst);
-        }
-        match r.status {
-            LpStatus::Infeasible => {
-                shared.release(id);
-                continue;
-            }
-            LpStatus::Unbounded => {
-                shared.unbounded.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.release(id);
-                break;
-            }
-            LpStatus::Limit => {
-                shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.park_node(node);
-                shared.release(id);
-                break;
-            }
-            LpStatus::Optimal => {}
-        }
-        if r.obj >= ctx.inc.bound() - cfg.abs_gap {
-            shared.release(id);
-            continue; // bound-dominated
-        }
-
-        match most_fractional(&r.x, &ctx.lp.c, ctx.int_vars, cfg.int_tol) {
-            None => {
-                // Integral: offer as incumbent.
-                let mut x = r.x.clone();
-                for &j in ctx.int_vars {
-                    x[j] = x[j].round();
-                }
-                let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
-                if ctx.inc.offer(obj, x) && cfg.verbose {
-                    eprintln!(
-                        "[milp] node {:>6} (worker {}): incumbent {:.6}",
-                        node_idx,
-                        id,
-                        ctx.user_obj(obj)
-                    );
-                }
-                shared.release(id);
-                continue;
-            }
-            Some((mf_var, mf_frac)) => {
-                // Node-level separation (opt-in), as in the sequential loop.
-                if node_cuts {
-                    let mut pool = relock(ctx.cut_pool);
-                    cuts::separate_node(
-                        ctx.cut_ctx,
-                        &r.x,
-                        ctx.root_lb,
-                        ctx.root_ub,
-                        &mut pool,
-                        cfg.cuts.max_cuts_per_round,
-                    );
-                    let _ = pool.select(&r.x, &cfg.cuts);
-                    ctx.cuts_applied_hint
-                        .store(pool.applied_len(), AtomicOrdering::Release);
-                }
-                let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
-                let xval = r.x[bvar];
-                let floor = xval.floor();
-                // Node-level reduced-cost fixing against a snapshot of the
-                // shared incumbent; a stale (worse) bound only under-fixes,
-                // so the tightening stays valid under races.
-                if cfg.reduced_cost_fixing {
-                    let inc = ctx.inc.bound();
-                    if inc.is_finite() {
-                        let fixed = fix_by_reduced_costs(
-                            &mut lb_buf,
-                            &mut ub_buf,
-                            &r.dj,
-                            ctx.int_vars,
-                            r.obj,
-                            inc,
-                        );
-                        if !fixed.is_empty() {
-                            shared.rc_fixed.fetch_add(fixed.len(), AtomicOrdering::SeqCst);
-                            node.changes.extend_from_slice(&fixed);
-                        }
-                    }
-                }
-                let warm = Arc::new(r.statuses);
-                let have_inc = ctx.inc.bound().is_finite();
-                // Same adaptive throttle as the sequential search, tracked
-                // per worker: empty dives double the period, a success
-                // resets it.
-                let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
-                if cfg.heuristics.enabled && node_idx % dive_period == 1 && node_idx > 1 {
-                    let mut improved = false;
-                    let strategies: &[heur::DiveStrategy] = if have_inc {
-                        &[heur::DiveStrategy::NearestInteger]
-                    } else {
-                        &[
-                            heur::DiveStrategy::NearestInteger,
-                            heur::DiveStrategy::MostFractionalUp,
-                        ]
-                    };
-                    for &strategy in strategies {
-                        let Some(dd) = dive_window(ctx.deadline, 3.0) else {
-                            break;
-                        };
-                        if let Some((obj, x)) = heur::dive_with(
-                            strategy,
-                            ctx.reduced,
-                            node_lp,
-                            ctx.int_vars,
-                            &lb_buf,
-                            &ub_buf,
-                            cfg,
-                            Some(&warm),
-                            Some(dd),
-                        ) {
-                            if ctx.inc.offer(obj, x) {
-                                shared
-                                    .heuristic_solutions
-                                    .fetch_add(1, AtomicOrdering::SeqCst);
-                                improved = true;
-                            }
-                        }
-                    }
-                    dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
-                }
-                let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
-                let parent_frac_gain = (r.obj - node.bound).max(0.0);
-                if let Some(&(pvar, plo, _phi)) = node.changes.last() {
-                    let went_up = plo.is_finite();
-                    pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
-                }
-                match cfg.node_selection {
-                    NodeSelection::BestBound => {
-                        let mut heap = relock(&shared.heap);
-                        heap.push(HeapNode(down_child));
-                        heap.push(HeapNode(up_child));
-                        drop(heap);
-                        shared.release(id);
-                    }
-                    NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
-                        // plunge into the child nearer the LP value; the
-                        // sibling goes to the shared pool for any worker
-                        let frac = xval - floor;
-                        let (keep, push) = if frac < 0.5 {
-                            (down_child, up_child)
-                        } else {
-                            (up_child, down_child)
-                        };
-                        relock(&shared.heap).push(HeapNode(push));
-                        plunge_next = Some(keep);
-                        // stays active; the slot is refreshed at loop top
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Builds a no-op [`Presolved`] for when presolve is disabled.
-fn identity_presolved(problem: &Problem) -> Presolved {
-    // Delegate to the presolver with zero rounds by constructing directly.
-    // A clean way without exposing internals: run presolve on a clone is not
-    // a no-op, so we build the identity mapping by hand via public behavior:
-    // `presolve` with zero reductions isn't available, so replicate the
-    // structure with an exact copy.
-    Presolved::identity(problem)
-}
 
 #[cfg(test)]
 mod tests {

@@ -50,8 +50,6 @@ pub enum NodeSelection {
     /// while the queue keeps the global bound.
     #[default]
     BestBoundPlunge,
-    /// Pure depth-first search.
-    DepthFirst,
 }
 
 /// Cutting-plane configuration: per-separator toggles, round limits, and

@@ -592,15 +592,6 @@ pub fn run_root_cuts(
     if separators.is_empty() {
         return out;
     }
-    // Reoptimize with the dual simplex even though the padded basis is
-    // "cold" from ReoptMode::Auto's perspective (it was never optimal for
-    // the extended LP) — it *is* dual-feasible by construction. An explicit
-    // Primal override is honored (that mode guarantees zero dual pivots).
-    let reopt_cfg = if cfg.reopt == crate::config::ReoptMode::Primal {
-        cfg.clone()
-    } else {
-        cfg.clone().with_reopt(crate::config::ReoptMode::Dual)
-    };
     let mut injected = false;
     for _ in 0..ccfg.max_rounds {
         if deadline.is_some_and(|d| Instant::now() >= d) || cfg.is_cancelled() {
@@ -664,44 +655,71 @@ pub fn run_root_cuts(
         if selected.is_empty() {
             break;
         }
-        // Snapshot for rollback: a failed reoptimization must not leave a
-        // half-extended LP behind.
-        let lp_backup = lp.clone();
-        let warm_len = root.statuses.len();
-        lp.append_rows(&cuts_to_rows(&selected));
-        let mut warm = Vec::with_capacity(warm_len + selected.len());
-        warm.extend_from_slice(&root.statuses);
-        warm.extend(std::iter::repeat_n(VStat::Basic, selected.len()));
-        let reopt = solve_lp(lp, var_lb, var_ub, &reopt_cfg, Some(&warm), deadline);
-        // Fault injection: treat this round's reoptimization as failed so
-        // the rollback arm below runs under test control.
-        let forced_failure = cfg
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.take_cut_reopt_failure());
-        match reopt {
-            Ok(r) if r.status == crate::simplex::LpStatus::Optimal && !forced_failure => {
-                out.applied += selected.len();
-                root.iters += r.iters;
-                root.phase1_iters += r.phase1_iters;
-                root.dual_iters += r.dual_iters;
-                root.recoveries += r.recoveries;
-                root.obj = r.obj;
-                root.x = r.x;
-                root.statuses = r.statuses;
-                root.dj = r.dj;
-                root.status = r.status;
-            }
-            _ => {
-                // Cuts are valid inequalities, so a non-optimal outcome here
-                // is numerical (or a limit): drop the round and stop.
-                *lp = lp_backup;
-                break;
-            }
+        if !append_and_reoptimize(lp, var_lb, var_ub, cfg, root, &selected, deadline) {
+            // Cuts are valid inequalities, so a non-optimal outcome here is
+            // numerical (or a limit): the round was rolled back; stop.
+            break;
         }
+        out.applied += selected.len();
     }
     out.generated = pool.generated;
     out
+}
+
+/// Appends `cuts` to `lp` and reoptimizes `root` from its basis padded with
+/// basic cut slacks. This is how every root round ends, and how a resumed
+/// solve re-applies its frame's root cuts. On a non-optimal outcome the LP
+/// is rolled back, `root` is left as it was, and `false` is returned.
+pub(crate) fn append_and_reoptimize(
+    lp: &mut LpData,
+    var_lb: &[f64],
+    var_ub: &[f64],
+    cfg: &Config,
+    root: &mut LpResult,
+    cuts: &[Cut],
+    deadline: Option<Instant>,
+) -> bool {
+    // Reoptimize with the dual simplex even though the padded basis is
+    // "cold" from ReoptMode::Auto's perspective (it was never optimal for
+    // the extended LP) — it *is* dual-feasible by construction. An explicit
+    // Primal override is honored (that mode guarantees zero dual pivots).
+    let reopt_cfg = if cfg.reopt == crate::config::ReoptMode::Primal {
+        cfg.clone()
+    } else {
+        cfg.clone().with_reopt(crate::config::ReoptMode::Dual)
+    };
+    // Snapshot for rollback: a failed reoptimization must not leave a
+    // half-extended LP behind.
+    let lp_backup = lp.clone();
+    lp.append_rows(&cuts_to_rows(cuts));
+    let mut warm = Vec::with_capacity(root.statuses.len() + cuts.len());
+    warm.extend_from_slice(&root.statuses);
+    warm.extend(std::iter::repeat_n(VStat::Basic, cuts.len()));
+    let reopt = solve_lp(lp, var_lb, var_ub, &reopt_cfg, Some(&warm), deadline);
+    // Fault injection: treat this reoptimization as failed so the rollback
+    // arm below runs under test control.
+    let forced_failure = cfg
+        .faults
+        .as_ref()
+        .is_some_and(|f| f.take_cut_reopt_failure());
+    match reopt {
+        Ok(r) if r.status == crate::simplex::LpStatus::Optimal && !forced_failure => {
+            root.iters += r.iters;
+            root.phase1_iters += r.phase1_iters;
+            root.dual_iters += r.dual_iters;
+            root.recoveries += r.recoveries;
+            root.obj = r.obj;
+            root.x = r.x;
+            root.statuses = r.statuses;
+            root.dj = r.dj;
+            root.status = r.status;
+            true
+        }
+        _ => {
+            *lp = lp_backup;
+            false
+        }
+    }
 }
 
 /// Node-level separation: the globally valid separators only (cover +

@@ -114,7 +114,7 @@ impl Solver {
     /// the source addresses are the caller's own.
     pub fn solve_with_columns(&self, problem: &Problem, source: &mut dyn ColumnSource) -> Solution {
         let start = Instant::now();
-        branch::solve_milp_with(problem, &self.config, start, Some(source))
+        branch::cold(branch::solve_milp_with(problem, &self.config, start, Some(source), None))
     }
 
     /// Resumes a solve from the checkpoint frame at `path`, falling back to
@@ -131,7 +131,7 @@ impl Solver {
     ) -> Result<Solution, FrameError> {
         let start = Instant::now();
         let frame = checkpoint::load_frame(path)?;
-        branch::resume_milp_with(problem, &self.config, start, frame, None)
+        branch::solve_milp_with(problem, &self.config, start, None, Some(frame))
     }
 
     /// [`Solver::resume`] with a column source — the counterpart of
@@ -146,7 +146,7 @@ impl Solver {
     ) -> Result<Solution, FrameError> {
         let start = Instant::now();
         let frame = checkpoint::load_frame(path)?;
-        branch::resume_milp_with(problem, &self.config, start, frame, Some(source))
+        branch::solve_milp_with(problem, &self.config, start, Some(source), Some(frame))
     }
 }
 

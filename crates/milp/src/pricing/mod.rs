@@ -21,6 +21,7 @@
 //! set, and it forces an identity presolve so the row indices the source
 //! sees are exactly the caller's encode-time indices.
 
+use crate::checkpoint::FrameError;
 use crate::config::Config;
 use crate::presolve::Presolved;
 use crate::problem::{Row, RowId, Var, VarId};
@@ -346,13 +347,14 @@ pub(crate) fn run_root_pricing(
     stats.pricing_time += t0.elapsed();
 }
 
-/// Replays accepted pricing rounds from a checkpoint frame onto a freshly
-/// re-encoded problem, growing `ps.reduced`, the computational LP, and the
-/// bound/integrality vectors exactly as [`run_root_pricing`]'s accept path
-/// did — batch by batch, so side-row variable indices resolve the same way.
-/// No LP is solved; the resumed search cold-solves its nodes. Returns
-/// `false` when a batch is malformed (a frame written by different code),
-/// leaving the caller to reject the resume.
+/// Replays accepted pricing rounds from a checkpoint frame in place of
+/// [`run_root_pricing`]: grows `ps.reduced`, the computational LP, and the
+/// bound/integrality vectors exactly as the loop's accept path did — batch
+/// by batch, so side-row variable indices resolve the same way — then
+/// reoptimizes `root` warm from the spliced basis, as one round would.
+/// Fails with [`FrameError::Mismatch`] when a batch is malformed (a frame
+/// written by different code) or the grown LP does not reoptimize.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_batches(
     ps: &mut Presolved,
     lp: &mut LpData,
@@ -360,8 +362,15 @@ pub(crate) fn replay_batches(
     root_ub: &mut Vec<f64>,
     int_vars: &mut Vec<usize>,
     batches: &[crate::checkpoint::FrameBatch],
+    cfg: &Config,
+    root: &mut LpResult,
+    deadline: Option<Instant>,
     sign: f64,
-) -> bool {
+    stats: &mut Stats,
+) -> Result<(), FrameError> {
+    let misfit = FrameError::Mismatch("pricing batches do not fit the base LP");
+    let n_base = lp.num_vars();
+    let rows_base = lp.num_rows();
     for batch in batches {
         let n0 = lp.num_vars();
         let k = batch.cols.len();
@@ -384,7 +393,7 @@ pub(crate) fn replay_batches(
             debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
             for &(r, v) in &col.entries {
                 if r >= lp.num_rows() {
-                    return false;
+                    return Err(misfit);
                 }
                 ps.reduced.add_row_coef(RowId(r), vid, v);
             }
@@ -393,7 +402,7 @@ pub(crate) fn replay_batches(
             let mut builder = Row::new().range(row.lb, row.ub);
             for &(j, v) in &row.coefs {
                 if j >= n0 + k {
-                    return false;
+                    return Err(misfit);
                 }
                 builder = builder.coef(VarId(j), v);
             }
@@ -426,7 +435,27 @@ pub(crate) fn replay_batches(
         }
         ps.register_appended_vars(k);
     }
-    true
+    stats.cols_priced = lp.num_vars() - n_base;
+    let spliced = splice_statuses(
+        &root.statuses,
+        n_base,
+        &root_lb[n_base..],
+        lp.num_rows() - rows_base,
+    );
+    stats.lp_solves += 1;
+    match solve_lp(lp, root_lb, root_ub, cfg, Some(&spliced), deadline) {
+        Ok(r) if r.status == LpStatus::Optimal => {
+            stats.simplex_iters += r.iters;
+            stats.phase1_iters += r.phase1_iters;
+            stats.dual_iters += r.dual_iters;
+            if r.recoveries > 0 {
+                stats.lp_recoveries += 1;
+            }
+            *root = r;
+            Ok(())
+        }
+        _ => Err(FrameError::Mismatch("replayed pricing batches do not reoptimize")),
+    }
 }
 
 #[cfg(test)]
@@ -481,7 +510,7 @@ mod tests {
             seen_duals: Vec::new(),
         };
         let cfg = Config::default();
-        let s = solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src));
+        let s = crate::branch::cold(solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src), None));
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 2.0).abs() < 1e-6, "obj {}", s.objective());
         assert_eq!(s.stats().cols_priced, 1);
@@ -519,7 +548,7 @@ mod tests {
             seen_duals: Vec::new(),
         };
         let cfg = Config::default();
-        let s = solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src));
+        let s = crate::branch::cold(solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src), None));
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 3.0).abs() < 1e-6, "obj {}", s.objective());
     }
@@ -532,7 +561,7 @@ mod tests {
             seen_duals: Vec::new(),
         };
         let cfg = Config::default().with_colgen(crate::ColGenConfig::off());
-        let s = solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src));
+        let s = crate::branch::cold(solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src), None));
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 4.0).abs() < 1e-6);
         assert!(src.seen_duals.is_empty(), "source must not be consulted");
@@ -563,7 +592,7 @@ mod tests {
             seen_duals: Vec::new(),
         };
         let cfg = Config::default();
-        let s = solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src));
+        let s = crate::branch::cold(solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src), None));
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 1.0).abs() < 1e-6, "obj {}", s.objective());
         let v = s.values();

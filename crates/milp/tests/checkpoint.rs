@@ -10,8 +10,8 @@
 
 use milp::checkpoint::write_frame;
 use milp::{
-    CheckpointConfig, Config, CutConfig, FaultInjection, FrameError, Problem, Row, Sense, Solver,
-    Status, Var,
+    CheckpointConfig, ColumnSource, Config, CutConfig, FaultInjection, FrameError, NewColumn,
+    PriceInput, PricedBatch, Problem, Row, Sense, Solver, Status, Var,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,6 +270,63 @@ fn resume_with_cut_pool_ahead_of_workers() {
     assert!(p.check_feasible(resumed.values(), 1e-6).is_none());
 }
 
+/// A column source that prices in one fixed batch, then nothing.
+struct OneBatch(Option<PricedBatch>);
+
+impl ColumnSource for OneBatch {
+    fn price(&mut self, _input: &PriceInput<'_>) -> PricedBatch {
+        self.0.take().unwrap_or_default()
+    }
+}
+
+/// A frame that carries a priced batch resumes through the replay: the
+/// batch is re-applied to the fresh LP and reoptimized, and the resumed
+/// solve reproduces the uninterrupted priced optimum.
+#[test]
+fn resume_replays_priced_columns() {
+    let p = hard_knapsack(18);
+    // A binary item with the best value-to-weight ratio of all: improving.
+    let priced = || {
+        OneBatch(Some(PricedBatch {
+            cols: vec![NewColumn {
+                obj: 5.0,
+                lb: 0.0,
+                ub: 1.0,
+                integer: true,
+                name: None,
+                entries: vec![(0, 1.0)],
+            }],
+            rows: vec![],
+        }))
+    };
+    let clean = Solver::new(searchy()).solve_with_columns(&p, &mut priced());
+    assert_eq!(clean.status(), Status::Optimal);
+    assert_eq!(clean.stats().cols_priced, 1);
+
+    let path = frame_path("priced");
+    let victim_cfg = searchy()
+        .with_checkpoint(every_node(&path))
+        .with_faults(FaultInjection::seeded(5).expire_after_nodes(3));
+    let victim = Solver::new(victim_cfg).solve_with_columns(&p, &mut priced());
+    assert_ne!(victim.status(), Status::Optimal, "the injected expiry must interrupt");
+    let frame = milp::load_frame(&path).expect("victim frame loads");
+    assert_eq!(frame.batches.len(), 1);
+
+    let resumed = Solver::new(searchy()).resume_with_columns(&p, &path, &mut OneBatch(None));
+    cleanup(&path);
+    let resumed = resumed.expect("frame resumes");
+    assert!(resumed.stats().resumed);
+    assert_eq!(resumed.stats().cols_priced, 1);
+    assert_eq!(resumed.status(), Status::Optimal);
+    assert!(
+        (resumed.objective() - clean.objective()).abs() < 1e-6,
+        "resumed {} vs uninterrupted {}",
+        resumed.objective(),
+        clean.objective()
+    );
+    assert_eq!(resumed.values().len(), p.num_vars() + 1);
+}
+
 /// The stall watchdog triggers a clean checkpointed abort: a stall window
 /// shorter than the time the (single) worker spends wedged must convert the
 /// solve into a limit status with a resumable frame, not a hang.
@@ -333,25 +390,33 @@ mod determinism {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Kill-and-resume is invisible: for random instances, kill points,
-        /// and thread counts, the resumed solve reports exactly the status
-        /// and objective of an uninterrupted run. When the victim finished
-        /// before the kill point (or never reached a node boundary), the
-        /// frame — if any — is stale, and resuming it must *still* match.
+        /// thread counts, and cuts off or on (a frame with baked root cuts),
+        /// the resumed solve reports exactly the status and objective of an
+        /// uninterrupted run. When the victim finished before the kill point
+        /// (or never reached a node boundary), the frame — if any — is
+        /// stale, and resuming it must *still* match.
         #[test]
         fn kill_resume_is_deterministic(
             (obj, wts, cap) in instance(),
             kill_at in 1usize..6,
             threads in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
+            cuts_on in any::<bool>(),
         ) {
             let p = build(&obj, &wts, cap);
-            let clean = Solver::new(searchy()).solve(&p);
+            let base = if cuts_on {
+                Config::default().with_heuristics(false)
+            } else {
+                searchy()
+            };
+            let clean = Solver::new(base.clone()).solve(&p);
             let path = frame_path("prop");
-            let victim_cfg = searchy()
+            let victim_cfg = base
+                .clone()
                 .with_threads(threads)
                 .with_checkpoint(every_node(&path))
                 .with_faults(FaultInjection::seeded(kill_at as u64).expire_after_nodes(kill_at));
             let victim = Solver::new(victim_cfg).solve(&p);
-            match Solver::new(searchy().with_threads(threads)).resume(&p, &path) {
+            match Solver::new(base.with_threads(threads)).resume(&p, &path) {
                 Ok(resumed) => {
                     prop_assert_eq!(clean.status(), resumed.status());
                     if clean.status().has_solution() {

@@ -2,7 +2,9 @@
 # Tier-1 gate: everything that must stay green on every commit.
 #
 #   1. release build of the whole workspace
-#   2. the root package test suite (fast determinism + integration tests)
+#   2. the root package test suite (fast determinism + integration tests),
+#      then every workspace crate's tests (checkpoint, proptest, dual-reopt,
+#      fault-injection and the rest)
 #   3. clippy on every target with warnings promoted to errors
 #   4. perf smoke: the Table 3 [50/20] row must yield a feasible design
 #      within a 30 s solver budget (warns when short of Optimal)
@@ -46,6 +48,9 @@ cargo build --release
 
 echo "== tier1: cargo test -q =="
 cargo test -q
+
+echo "== tier1: cargo test --workspace -q =="
+cargo test --workspace -q
 
 echo "== tier1: fault injection (seeded solver recovery paths) =="
 cargo test -q -p milp --test fault_injection
