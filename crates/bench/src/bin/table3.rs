@@ -68,8 +68,6 @@ fn record(
     (total, end): (usize, usize),
     opts: &ExploreOptions,
     out: &ExploreOutcome,
-    encode_s: f64,
-    cons: usize,
 ) -> SolverRecord {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let eff = opts.solver.effective_threads();
@@ -79,28 +77,10 @@ fn record(
         end,
         threads: opts.solver.threads,
         effective_threads: eff,
-        wall_s: out.stats.solve_time.as_secs_f64(),
-        nodes: out.stats.bb_nodes,
         status: format!("{:?}", out.status),
         objective: out.design.as_ref().map(|d| d.objective),
-        encode_s,
-        cons,
-        pivots: out.stats.simplex_iters,
-        phase1_pivots: out.stats.phase1_iters,
-        cuts_applied: out.stats.cuts_applied,
-        cut_rounds: out.stats.cut_rounds,
-        root_gap: out.stats.root_gap,
-        cols_priced: out.stats.cols_priced,
-        pricing_rounds: out.stats.pricing_rounds,
-        pricing_s: out.stats.pricing_time.as_secs_f64(),
         oversubscribed: eff > host,
-        checkpoint_s: out.stats.checkpoint_time.as_secs_f64(),
-        checkpoints_written: out.stats.checkpoints_written,
-        resumed: out.stats.resumed,
-        time_to_first_incumbent_s: out.stats.time_to_first_incumbent.map(|d| d.as_secs_f64()),
-        time_to_within_1pct_s: out.stats.time_to_within_1pct.map(|d| d.as_secs_f64()),
-        lns_iters: out.stats.lns_iters,
-        lns_published: out.stats.lns_published,
+        stats: out.stats.clone(),
     }
 }
 
@@ -159,14 +139,7 @@ fn main() {
         opts.solver.rel_gap = 0.005;
         let out = explore(&w.template, &w.library, &w.requirements, &opts).expect("explores");
         let approx_time = time_cell(&out, tl);
-        records.push(record(
-            "row",
-            (total, end),
-            &opts,
-            &out,
-            encode_time.as_secs_f64(),
-            approx_stats.num_cons,
-        ));
+        records.push(record("row", (total, end), &opts, &out));
 
         // --- full encoding: measured when small enough, estimated beyond ---
         let (full_cons, approximate_marker) = if total <= full_build_max_nodes {
@@ -207,7 +180,7 @@ fn main() {
             approx_stats.num_cons,
             encode_time,
             out.stats.solve_time,
-            out.stats.bb_nodes,
+            out.stats.solver.nodes,
             full_cons
         );
     }
@@ -234,20 +207,13 @@ fn main() {
                 "  {:<8}: {:>7.2} s, {:>6} nodes, {:>5} pivots/1k, root gap {:.4}, {} cuts in {} rounds",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.bb_nodes,
-                out.stats.simplex_iters / 1000,
-                out.stats.root_gap,
-                out.stats.cuts_applied,
-                out.stats.cut_rounds,
+                out.stats.solver.nodes,
+                out.stats.solver.simplex_iters / 1000,
+                out.stats.solver.root_gap,
+                out.stats.solver.cuts_applied,
+                out.stats.solver.cut_rounds,
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -277,18 +243,11 @@ fn main() {
                 "  {:<8}: {:>7.2} s, {:>6} nodes, {} frames written, {:.4} s checkpointing",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.bb_nodes,
-                out.stats.checkpoints_written,
-                out.stats.checkpoint_time.as_secs_f64(),
+                out.stats.solver.nodes,
+                out.stats.solver.checkpoints_written,
+                out.stats.solver.checkpoint_time.as_secs_f64(),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
         if let [off, on] = walls[..] {
             println!(
@@ -335,20 +294,13 @@ fn main() {
                 kind,
                 out.stats.solve_time.as_secs_f64(),
                 out.stats.num_cons,
-                out.stats.bb_nodes,
-                out.stats.cols_priced,
-                out.stats.pricing_rounds,
-                out.stats.pricing_time.as_secs_f64(),
+                out.stats.solver.nodes,
+                out.stats.solver.cols_priced,
+                out.stats.solver.pricing_rounds,
+                out.stats.solver.pricing_time.as_secs_f64(),
                 out.design.as_ref().map(|d| d.objective),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -386,20 +338,13 @@ fn main() {
                 "  {:<8}: {:>7.2} s total, 1st incumbent {:?}, within 1% {:?}, {} LNS iters ({} published), obj {:?}",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.time_to_first_incumbent,
-                out.stats.time_to_within_1pct,
-                out.stats.lns_iters,
-                out.stats.lns_published,
+                out.stats.solver.time_to_first_incumbent,
+                out.stats.solver.time_to_within_1pct,
+                out.stats.solver.lns_iters,
+                out.stats.solver.lns_published,
                 out.design.as_ref().map(|d| d.objective),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -443,16 +388,9 @@ fn main() {
                     .unwrap_or_else(|| "-".to_string());
                 println!(
                     "  threads {:>2}: {:>8.2} s, {:>8} nodes, speedup vs 1: {}",
-                    t, wall, out.stats.bb_nodes, speedup
+                    t, wall, out.stats.solver.nodes, speedup
                 );
-                records.push(record(
-                    "scaling",
-                    (total, end),
-                    &opts,
-                    &out,
-                    out.stats.encode_time.as_secs_f64(),
-                    out.stats.num_cons,
-                ));
+                records.push(record("scaling", (total, end), &opts, &out));
             }
         }
     }

@@ -22,58 +22,17 @@ pub struct SolverRecord {
     pub threads: usize,
     /// Worker threads the run actually used.
     pub effective_threads: usize,
-    /// Solver wall time in seconds.
-    pub wall_s: f64,
-    /// Branch-and-bound nodes explored.
-    pub nodes: usize,
     /// Final solver status (`Optimal`, `LimitFeasible`, ...).
     pub status: String,
     /// Objective of the returned design, when one exists.
     pub objective: Option<f64>,
-    /// Encoding wall time in seconds.
-    pub encode_s: f64,
-    /// Constraints in the encoded model.
-    pub cons: usize,
-    /// Total simplex pivots across all LP solves of the run.
-    pub pivots: usize,
-    /// Pivots spent in primal Phase 1; dual warm-start reoptimization keeps
-    /// this small relative to `pivots`.
-    pub phase1_pivots: usize,
-    /// Cutting planes appended to the root relaxation.
-    pub cuts_applied: usize,
-    /// Separation rounds run at the root.
-    pub cut_rounds: usize,
-    /// Relative gap between the integer optimum and the root LP bound
-    /// after cut rounds.
-    pub root_gap: f64,
-    /// Path columns priced into the root LP by column generation.
-    pub cols_priced: usize,
-    /// Solve-price-reoptimize rounds run at the root.
-    pub pricing_rounds: usize,
-    /// Seconds spent inside the pricing loop.
-    pub pricing_s: f64,
     /// True when the run requested more worker threads than the host has
     /// cores — scaling numbers from such runs measure time-slicing, not
     /// parallel speedup.
     pub oversubscribed: bool,
-    /// Seconds spent assembling and writing checkpoint frames (the
-    /// durability overhead charged against the solver deadline).
-    pub checkpoint_s: f64,
-    /// Checkpoint frames durably written during the run.
-    pub checkpoints_written: usize,
-    /// True when the run continued from a checkpoint frame instead of
-    /// starting cold.
-    pub resumed: bool,
-    /// Seconds from solve start to the first feasible incumbent; `null`
-    /// when the run never held one.
-    pub time_to_first_incumbent_s: Option<f64>,
-    /// Seconds until the incumbent first came within 1% of the final
-    /// objective — the anytime headline metric; `null` when no incumbent.
-    pub time_to_within_1pct_s: Option<f64>,
-    /// Destroy/repair iterations run by the LNS + tabu primal engine.
-    pub lns_iters: usize,
-    /// LNS improvements accepted by the shared incumbent.
-    pub lns_published: usize,
+    /// The exploration's statistics: model size, encode and solve time,
+    /// and the solver's counters.
+    pub stats: archex::ExploreStats,
 }
 
 fn json_f64(v: f64) -> String {
@@ -84,8 +43,20 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+fn json_secs(d: Option<std::time::Duration>) -> String {
+    d.map_or("null".to_string(), |d| json_f64(d.as_secs_f64()))
+}
+
 impl SolverRecord {
+    /// One JSON object. The key order is fixed: `scripts/tier1.sh` greps
+    /// `"status":...,"objective":` out of these lines. `wall_s` is the
+    /// solve time; `encode_s` and `cons` describe the encoding; `pivots`
+    /// count every simplex iteration, `phase1_pivots` the primal Phase-1
+    /// share; `cut_rounds` and `cuts_applied` are the root cut rounds;
+    /// `checkpoint_s` is debited from the solver deadline.
     fn to_json(&self) -> String {
+        let st = &self.stats;
+        let sv = &st.solver;
         format!(
             concat!(
                 "{{\"kind\":\"{}\",\"total\":{},\"end\":{},\"threads\":{},",
@@ -104,30 +75,28 @@ impl SolverRecord {
             self.end,
             self.threads,
             self.effective_threads,
-            json_f64(self.wall_s),
-            self.nodes,
+            json_f64(st.solve_time.as_secs_f64()),
+            sv.nodes,
             self.status,
             self.objective.map_or("null".to_string(), json_f64),
-            json_f64(self.encode_s),
-            self.cons,
-            self.pivots,
-            self.phase1_pivots,
-            self.cuts_applied,
-            self.cut_rounds,
-            json_f64(self.root_gap),
-            self.cols_priced,
-            self.pricing_rounds,
-            json_f64(self.pricing_s),
+            json_f64(st.encode_time.as_secs_f64()),
+            st.num_cons,
+            sv.simplex_iters,
+            sv.phase1_iters,
+            sv.cuts_applied,
+            sv.cut_rounds,
+            json_f64(sv.root_gap),
+            sv.cols_priced,
+            sv.pricing_rounds,
+            json_f64(sv.pricing_time.as_secs_f64()),
             self.oversubscribed,
-            json_f64(self.checkpoint_s),
-            self.checkpoints_written,
-            self.resumed,
-            self.time_to_first_incumbent_s
-                .map_or("null".to_string(), json_f64),
-            self.time_to_within_1pct_s
-                .map_or("null".to_string(), json_f64),
-            self.lns_iters,
-            self.lns_published,
+            json_f64(sv.checkpoint_time.as_secs_f64()),
+            sv.checkpoints_written,
+            sv.resumed,
+            json_secs(sv.time_to_first_incumbent),
+            json_secs(sv.time_to_within_1pct),
+            sv.lns_iters,
+            sv.lns_published,
         )
     }
 }
@@ -164,7 +133,7 @@ impl AttemptTrace {
             outcome,
             objective: a.objective,
             wall_s: a.elapsed.as_secs_f64(),
-            nodes: a.stats.bb_nodes,
+            nodes: a.stats.solver.nodes,
         }
     }
 
@@ -472,40 +441,54 @@ pub fn write_solver_json(path: &Path, bench: &str, records: &[SolverRecord]) -> 
 mod tests {
     use super::*;
 
-    #[test]
-    fn record_renders_valid_json_shape() {
-        let r = SolverRecord {
+    fn sample_record() -> SolverRecord {
+        let secs = std::time::Duration::from_secs_f64;
+        SolverRecord {
             kind: "row",
             total: 50,
             end: 20,
             threads: 1,
             effective_threads: 1,
-            wall_s: 1.25,
-            nodes: 42,
             status: "Optimal".to_string(),
             objective: Some(10.0),
-            encode_s: 0.004,
-            cons: 2685,
-            pivots: 900,
-            phase1_pivots: 120,
-            cuts_applied: 7,
-            cut_rounds: 2,
-            root_gap: 0.125,
-            cols_priced: 33,
-            pricing_rounds: 4,
-            pricing_s: 0.5,
             oversubscribed: true,
-            checkpoint_s: 0.025,
-            checkpoints_written: 3,
-            resumed: true,
-            time_to_first_incumbent_s: Some(0.04),
-            time_to_within_1pct_s: None,
-            lns_iters: 12,
-            lns_published: 5,
-        };
+            stats: archex::ExploreStats {
+                num_cons: 2685,
+                encode_time: secs(0.004),
+                solve_time: secs(1.25),
+                solver: milp::Stats {
+                    nodes: 42,
+                    simplex_iters: 900,
+                    phase1_iters: 120,
+                    cuts_applied: 7,
+                    cut_rounds: 2,
+                    root_gap: 0.125,
+                    cols_priced: 33,
+                    pricing_rounds: 4,
+                    pricing_time: secs(0.5),
+                    checkpoint_time: secs(0.025),
+                    checkpoints_written: 3,
+                    resumed: true,
+                    time_to_first_incumbent: Some(secs(0.04)),
+                    time_to_within_1pct: None,
+                    lns_iters: 12,
+                    lns_published: 5,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        }
+    }
+
+    #[test]
+    fn record_renders_valid_json_shape() {
+        let r = sample_record();
         let s = r.to_json();
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\"wall_s\":1.250000"));
+        assert!(s.contains("\"encode_s\":0.004000"));
+        assert!(s.contains("\"cons\":2685"));
+        assert!(s.contains("\"nodes\":42"));
         assert!(s.contains("\"objective\":10.000000"));
         assert!(s.contains("\"pivots\":900"));
         assert!(s.contains("\"phase1_pivots\":120"));
@@ -528,6 +511,54 @@ mod tests {
             ..r
         };
         assert!(r2.to_json().contains("\"objective\":null"));
+    }
+
+    /// The exact key sequence of a record line. `scripts/tier1.sh` greps
+    /// `"status":"…","objective":` and reads keys by name, so a change
+    /// here is a change to every consumer of `BENCH_solver.json`.
+    #[test]
+    fn record_key_sequence_is_pinned() {
+        let s = sample_record().to_json();
+        let keys: Vec<&str> = s
+            .split('"')
+            .collect::<Vec<_>>()
+            .windows(2)
+            .filter(|w| w[1].starts_with(':'))
+            .map(|w| w[0])
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "kind",
+                "total",
+                "end",
+                "threads",
+                "effective_threads",
+                "wall_s",
+                "nodes",
+                "status",
+                "objective",
+                "encode_s",
+                "cons",
+                "pivots",
+                "phase1_pivots",
+                "cuts_applied",
+                "cut_rounds",
+                "root_gap",
+                "cols_priced",
+                "pricing_rounds",
+                "pricing_s",
+                "oversubscribed",
+                "checkpoint_s",
+                "checkpoints_written",
+                "resumed",
+                "time_to_first_incumbent_s",
+                "time_to_within_1pct_s",
+                "lns_iters",
+                "lns_published",
+            ]
+        );
+        assert!(s.contains("\"status\":\"Optimal\",\"objective\":10.000000,"));
     }
 
     #[test]

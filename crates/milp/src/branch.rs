@@ -31,7 +31,7 @@
 //! open nodes.
 
 use crate::checkpoint::{self, CkptRuntime, FrameError, FrameNode, SearchFrame};
-use crate::config::{Branching, Config, NodeSelection};
+use crate::config::{Branching, Config};
 use crate::cuts;
 use crate::error::relock;
 use crate::heur;
@@ -150,17 +150,11 @@ struct SearchCtx<'a> {
     /// `+1.0` when the user problem minimizes, `-1.0` when it maximizes.
     sign: f64,
     obj_offset: f64,
-    /// Problem structure the separators work from.
-    cut_ctx: &'a cuts::CutContext,
-    /// Shared cut pool; its applied list is append-only and globally
-    /// ordered, so workers can extend local LP copies by prefix.
-    cut_pool: &'a Mutex<cuts::CutPool>,
-    /// Lock-free mirror of the pool's applied length, written under the
-    /// pool lock by whoever applies cuts. Workers check it before locking,
-    /// so the common no-new-cuts node solve never touches the pool mutex.
-    cuts_applied_hint: &'a AtomicUsize,
-    /// Cuts already baked into `lp` (the root cuts); node-level syncing
-    /// starts from this prefix.
+    /// The cut pool, read-only once the root rounds are done; checkpoint
+    /// frames copy its applied list.
+    cut_pool: &'a cuts::CutPool,
+    /// Cuts baked into `lp` (the root cuts); the applied list may run past
+    /// them on a resumed solve.
     root_cuts: usize,
     /// Durable-solve runtime, when [`Config::checkpoint`] is set: snapshot
     /// cadence claims, the frame hand-off slot, the write-time debit, and
@@ -500,12 +494,7 @@ pub fn solve_milp_with(
             return Ok(Solution::numeric_failure(stats, e));
         }
     };
-    stats.simplex_iters += root.iters;
-    stats.phase1_iters += root.phase1_iters;
-    stats.dual_iters += root.dual_iters;
-    if root.recoveries > 0 {
-        stats.lp_recoveries += 1;
-    }
+    stats.take_lp_work(&mut root);
     match root.status {
         LpStatus::Infeasible => {
             stats.nodes = 1;
@@ -587,16 +576,14 @@ pub fn solve_milp_with(
     // round appends the pool's surviving cuts and dual-reoptimizes from the
     // old basis (cut slacks enter basic, which keeps it dual-feasible).
     // Gomory cuts are derived here, at the root bounds, so every cut below
-    // is globally valid and the pool can be shared across workers. A seed
-    // appends its root cuts the same way, in one step; its later cuts go
-    // into the pool only, and node LPs catch them up lazily through
-    // `sync_cut_lp` — the pool being ahead of an LP is the normal, tolerated
-    // state of the append-only global order. Should the seed's root cuts
-    // fail to reoptimize, they stay in the pool only and the search runs on
-    // the uncut root: cuts are valid inequalities, so only strength is lost.
+    // is globally valid. After these rounds the pool is read-only: workers
+    // share it by reference and checkpoint frames copy its applied list. A
+    // seed appends its root cuts the same way, in one step; any later cuts
+    // in the frame stay in the pool only. Should the seed's root cuts fail
+    // to reoptimize, they stay in the pool only and the search runs on the
+    // uncut root: cuts are valid inequalities, so only strength is lost.
     let cut_ctx = cuts::CutContext::from_problem(reduced);
     let mut cut_pool = cuts::CutPool::new();
-    let pre = (root.iters, root.phase1_iters, root.dual_iters, root.recoveries);
     let root_cuts = match &seed {
         Some(frame) => {
             if frame
@@ -636,17 +623,13 @@ pub fn solve_milp_with(
             cut_pool.applied_len()
         }
     };
-    stats.simplex_iters += root.iters - pre.0;
-    stats.phase1_iters += root.phase1_iters - pre.1;
-    stats.dual_iters += root.dual_iters - pre.2;
-    if root.recoveries > pre.3 {
-        stats.lp_recoveries += 1;
-    }
-    let cuts_applied_hint = AtomicUsize::new(cut_pool.applied_len());
+    stats.take_lp_work(&mut root);
+    stats.cuts_generated = cut_pool.generated;
+    stats.cuts_applied = cut_pool.applied_len();
+    stats.cut_rounds = cut_pool.rounds;
     // Root LP bound after the cut rounds; the reported root gap measures
     // the incumbent against this tightened bound.
     let root_cut_bound = root.obj;
-    let cut_pool = Mutex::new(cut_pool);
 
     // --- Incumbent state (internal minimize sense) ---
     // One shared instance for the whole solve: tree workers, dives, and the
@@ -816,9 +799,7 @@ pub fn solve_milp_with(
         deadline,
         sign,
         obj_offset,
-        cut_ctx: &cut_ctx,
         cut_pool: &cut_pool,
-        cuts_applied_hint: &cuts_applied_hint,
         root_cuts,
         ckpt: ckpt_rt.as_ref(),
         inc: &inc,
@@ -853,7 +834,6 @@ pub fn solve_milp_with(
         inc,
         &ps,
         cfg,
-        &cut_pool,
         ckpt_rt.as_ref(),
         root_cut_bound,
         sign,
@@ -882,8 +862,7 @@ fn run_search_with_lns(
         stats.lns_iters += l.iters;
         stats.lns_published += l.published;
         stats.heuristic_solutions += l.published;
-        let user = |o: f64| ctx.sign * o + ctx.obj_offset;
-        stats.lns_trace = l.trace.iter().map(|&o| user(o)).collect();
+        stats.lns_trace = l.trace.iter().map(|&o| ctx.user_obj(o)).collect();
     };
     match lns_in {
         Some(lns) if ctx.cfg.heuristics.sync => {
@@ -980,7 +959,7 @@ fn run_search(
                     .into_iter()
                     .filter_map(|h| h.join().ok())
                     .map(|(own, panicked)| {
-                        absorb(stats, &own);
+                        stats.absorb_worker(&own);
                         usize::from(panicked)
                     })
                     .sum()
@@ -988,11 +967,6 @@ fn run_search(
             stats.worker_panics += panics;
             let open = relock(&pool.heap).len();
             if panics > 0 && !pool.stop.load(AtomicOrdering::SeqCst) && open > 0 {
-                if ctx.cfg.verbose {
-                    eprintln!(
-                        "[milp] {panics} worker(s) panicked with {open} open nodes; continuing with one worker"
-                    );
-                }
                 worker(ctx, &pool, 0, stats);
             }
         } else {
@@ -1032,18 +1006,6 @@ fn run_search(
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner),
     }
-}
-
-/// Adds one worker's search counters into the solve's [`Stats`].
-fn absorb(stats: &mut Stats, own: &Stats) {
-    stats.lp_solves += own.lp_solves;
-    stats.simplex_iters += own.simplex_iters;
-    stats.phase1_iters += own.phase1_iters;
-    stats.dual_iters += own.dual_iters;
-    stats.lp_recoveries += own.lp_recoveries;
-    stats.rc_fixed += own.rc_fixed;
-    stats.heuristic_solutions += own.heuristic_solutions;
-    stats.dropped_nodes += own.dropped_nodes;
 }
 
 /// The open-node pool every search worker draws from: the best-bound heap
@@ -1210,11 +1172,6 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
     // resets it — so dives stop eating wall clock once the tree has a good
     // incumbent they cannot beat.
     let mut dive_backoff = 1usize;
-    // Node-level cuts (opt-in): worker-local LP copy synced to the shared
-    // pool's append-only applied prefix before each node solve.
-    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
-    let mut local_lp: Option<LpData> = None;
-    let mut local_cuts = ctx.root_cuts;
 
     while let Some(mut node) = pool.claim(ctx, id, plunge.take()) {
         // Injected fault: a threaded worker panics exactly here, with its
@@ -1252,22 +1209,8 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
         }
 
         stats.lp_solves += 1;
-        let node_lp = if node_cuts {
-            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
-        } else {
-            ctx.lp
-        };
-        let nn_now = node_lp.num_vars() + node_lp.num_rows();
-        let padded;
-        let warm: Option<&[VStat]> = match node.warm.as_deref() {
-            Some(w) if w.len() < nn_now => {
-                padded = pad_warm(w, nn_now);
-                Some(&padded)
-            }
-            Some(w) => Some(&w[..]),
-            None => None,
-        };
-        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
+        let warm = node.warm.as_deref().map(Vec::as_slice);
+        let mut r = match solve_lp(ctx.lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
             Ok(r) => r,
             Err(_) => {
                 // Recovery ladder exhausted on this node: drop its subtree
@@ -1280,12 +1223,7 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
                 continue;
             }
         };
-        stats.simplex_iters += r.iters;
-        stats.phase1_iters += r.phase1_iters;
-        stats.dual_iters += r.dual_iters;
-        if r.recoveries > 0 {
-            stats.lp_recoveries += 1;
-        }
+        stats.take_lp_work(&mut r);
         match r.status {
             LpStatus::Infeasible => {
                 pool.release(id);
@@ -1317,36 +1255,11 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
             }
             let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
             if ctx.inc.offer(obj, x) {
-                if cfg.verbose {
-                    eprintln!(
-                        "[milp] node {:>6} (worker {}): incumbent {:.6}",
-                        node_idx,
-                        id,
-                        ctx.user_obj(obj)
-                    );
-                }
                 pool.refix(ctx, obj, stats);
             }
             pool.release(id);
             continue;
         };
-        // Node-level separation (opt-in): globally valid cover and clique
-        // cuts at this node's fractional point, applied to future node
-        // solves through the shared pool.
-        if node_cuts {
-            let mut cut_pool = relock(ctx.cut_pool);
-            cuts::separate_node(
-                ctx.cut_ctx,
-                &r.x,
-                ctx.root_lb,
-                ctx.root_ub,
-                &mut cut_pool,
-                cfg.cuts.max_cuts_per_round,
-            );
-            let _ = cut_pool.select(&r.x, &cfg.cuts);
-            ctx.cuts_applied_hint
-                .store(cut_pool.applied_len(), AtomicOrdering::Release);
-        }
         let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
         let xval = r.x[bvar];
         let floor = xval.floor();
@@ -1397,7 +1310,7 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
                 if let Some((obj, x)) = heur::dive_with(
                     strategy,
                     ctx.reduced,
-                    node_lp,
+                    ctx.lp,
                     ctx.int_vars,
                     &lb_buf,
                     &ub_buf,
@@ -1422,42 +1335,29 @@ fn worker(ctx: &SearchCtx<'_>, pool: &NodePool<'_>, id: usize, stats: &mut Stats
             let went_up = plo.is_finite();
             pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
         }
-        // Children reach the heap before this worker's slot changes, so the
-        // open set never loses them.
-        match cfg.node_selection {
-            NodeSelection::BestBound => {
-                let mut heap = relock(&pool.heap);
-                heap.push(HeapNode(down_child));
-                heap.push(HeapNode(up_child));
-                drop(heap);
-                pool.release(id);
-            }
-            NodeSelection::BestBoundPlunge => {
-                // Plunge into the child nearer the LP value; the sibling
-                // goes to the shared heap for any worker.
-                let (keep, push) = if xval - floor < 0.5 {
-                    (down_child, up_child)
-                } else {
-                    (up_child, down_child)
-                };
-                relock(&pool.heap).push(HeapNode(push));
-                *relock(&pool.inflight[id]) = Some(keep.clone());
-                plunge = Some(keep);
-            }
-        }
+        // Plunge into the child nearer the LP value; the sibling goes to
+        // the shared heap for any worker. It reaches the heap before this
+        // worker's slot changes, so the open set never loses it.
+        let (keep, push) = if xval - floor < 0.5 {
+            (down_child, up_child)
+        } else {
+            (up_child, down_child)
+        };
+        relock(&pool.heap).push(HeapNode(push));
+        *relock(&pool.inflight[id]) = Some(keep.clone());
+        plunge = Some(keep);
     }
 }
 
-/// Shared wrap-up of both the cold and the resumed solve: cut-pool and
-/// checkpoint statistics, bound/status reconciliation, and postsolve of
-/// the incumbent back to the original variable space.
+/// Shared wrap-up of both the cold and the resumed solve: checkpoint
+/// statistics, bound/status reconciliation, and postsolve of the incumbent
+/// back to the original variable space.
 #[allow(clippy::too_many_arguments)]
 fn wrap_up(
     outcome: SearchOutcome,
     inc: Incumbent,
     ps: &Presolved,
     cfg: &Config,
-    cut_pool: &Mutex<cuts::CutPool>,
     ckpt_rt: Option<&CkptRuntime>,
     root_cut_bound: f64,
     sign: f64,
@@ -1465,12 +1365,6 @@ fn wrap_up(
     start: Instant,
     mut stats: Stats,
 ) -> Solution {
-    {
-        let pool = relock(cut_pool);
-        stats.cuts_generated = pool.generated;
-        stats.cuts_applied = pool.applied_len();
-        stats.cut_rounds = pool.rounds;
-    }
     if let Some(rt) = ckpt_rt {
         stats.checkpoint_time = rt.debit();
         stats.checkpoints_written = rt.frames_written();
@@ -1586,10 +1480,7 @@ fn frame_node(n: &Node) -> FrameNode {
 
 /// Assembles a complete [`SearchFrame`] from the runtime's static base
 /// plus the pool's dynamic state (node count, base bounds) and the open
-/// nodes the caller collected. The cut pool is read here: its applied list
-/// is append-only and globally ordered, so a snapshot taken between a
-/// peer's append and its hint publish is still consistent (the restored LP
-/// simply catches the extras up lazily).
+/// nodes the caller collected.
 fn snapshot_frame(
     ctx: &SearchCtx<'_>,
     rt: &CkptRuntime,
@@ -1608,57 +1499,10 @@ fn snapshot_frame(
         frame.base_lb.clone_from(&base.0);
         frame.base_ub.clone_from(&base.1);
     }
-    frame.cuts = relock(ctx.cut_pool).applied().to_vec();
+    frame.cuts = ctx.cut_pool.applied().to_vec();
     frame.root_cuts = ctx.root_cuts;
     frame.open_nodes = open_nodes;
     frame
-}
-
-/// Pads a warm-start vector produced against an LP with fewer cut rows:
-/// every appended cut row contributes one slack, and making those slacks
-/// basic keeps the basis square and dual-feasible (see
-/// [`LpData::append_rows`]).
-fn pad_warm(w: &[VStat], nn_now: usize) -> Vec<VStat> {
-    let mut v = Vec::with_capacity(nn_now);
-    v.extend_from_slice(w);
-    v.resize(nn_now, VStat::Basic);
-    v
-}
-
-/// The LP a node should be solved against when node cuts are enabled: a
-/// worker-local clone of the root LP extended with every cut the shared
-/// pool has applied so far. The pool's applied list is append-only and
-/// globally ordered, so the local copy catches up by appending the missing
-/// suffix — row indices never shift and older warm bases stay valid after
-/// [`pad_warm`].
-fn sync_cut_lp<'b>(
-    ctx: &'b SearchCtx<'_>,
-    local_lp: &'b mut Option<LpData>,
-    local_cuts: &mut usize,
-) -> &'b LpData {
-    // Lock-free fast path: the hint is monotone and published (under the
-    // pool lock) by whoever applies cuts, so the steady state — no cuts
-    // since this worker last caught up — never touches the pool mutex. A
-    // stale read only delays the catch-up by one node; the cuts are
-    // globally valid either way.
-    if ctx.cuts_applied_hint.load(AtomicOrdering::Acquire) > *local_cuts {
-        let pool = relock(ctx.cut_pool);
-        let total = pool.applied_len();
-        // `catch_up_rows` tolerates every relative position the append-only
-        // order allows — including a pool already ahead of a restored LP
-        // (the resume case) and a stale hint past the pool's length.
-        let rows = cuts::catch_up_rows(pool.applied(), *local_cuts);
-        drop(pool);
-        if !rows.is_empty() {
-            let lp = local_lp.get_or_insert_with(|| ctx.lp.clone());
-            lp.append_rows(&rows);
-            *local_cuts = total;
-        }
-    }
-    match local_lp {
-        Some(lp) => lp,
-        None => ctx.lp,
-    }
 }
 
 /// Picks the branching variable per the configured rule.
@@ -1946,14 +1790,4 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parallel_pure_best_bound_selection() {
-        let p = hard_knapsack(14);
-        let mut c = cfg().with_threads(3);
-        c.node_selection = NodeSelection::BestBound;
-        let s = solve_milp(&p, &c, Instant::now());
-        let seq = solve_milp(&p, &cfg(), Instant::now());
-        assert_eq!(s.status(), Status::Optimal);
-        assert!((s.objective() - seq.objective()).abs() < 1e-6);
-    }
 }

@@ -40,24 +40,11 @@ pub enum PricingRule {
     Dantzig,
 }
 
-/// Node selection strategy for the branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeSelection {
-    /// Pure best-bound (best-first) search.
-    BestBound,
-    /// Best-bound with depth-first plunging after each node (default): the
-    /// solver dives into one child immediately, which finds incumbents early
-    /// while the queue keeps the global bound.
-    #[default]
-    BestBoundPlunge,
-}
-
 /// Cutting-plane configuration: per-separator toggles, round limits, and
 /// the numerical filters of the cut pool.
 ///
-/// Cuts are separated in rounds at the root (and, when [`Self::node_cuts`]
-/// is on, at branch-and-bound nodes), appended to the LP, and reoptimized
-/// with the dual simplex. Every cut is a valid inequality for the integer
+/// Cuts are separated in rounds at the root, appended to the LP, and
+/// reoptimized with the dual simplex. Every cut is a valid inequality for the integer
 /// hull, so any combination of toggles leaves the optimum unchanged — the
 /// knobs only trade separation effort against LP tightness.
 ///
@@ -89,10 +76,6 @@ pub struct CutConfig {
     /// Maximum |cosine| between two cuts applied in the same round; filters
     /// near-parallel rows that would degrade the basis conditioning.
     pub max_parallelism: f64,
-    /// Separate (globally valid cover/clique) cuts at branch-and-bound
-    /// nodes too, sharing one pool across workers. Off by default: the root
-    /// rounds capture most of the benefit at a fraction of the cost.
-    pub node_cuts: bool,
     /// Maximum number of cuts held in the pool (pending + applied).
     pub max_pool: usize,
     /// Pending cuts not selected for this many rounds are evicted.
@@ -110,7 +93,6 @@ impl Default for CutConfig {
             max_cuts_per_round: 50,
             min_efficacy: 1e-4,
             max_parallelism: 0.999,
-            node_cuts: false,
             max_pool: 2000,
             max_age: 3,
         }
@@ -345,35 +327,27 @@ pub struct Config {
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes (`None` = unlimited).
     pub node_limit: Option<usize>,
-    /// Maximum simplex iterations per LP solve (`None` = unlimited).
-    pub iter_limit: Option<usize>,
-    /// Refactorize the basis after this many eta updates.
-    pub refactor_interval: usize,
     /// Branching rule.
     pub branching: Branching,
-    /// Node selection rule.
-    pub node_selection: NodeSelection,
     /// Warm-start reoptimization strategy ([`ReoptMode::Auto`] tries the
     /// dual simplex whenever the inherited basis is dual-feasible).
     pub reopt: ReoptMode,
     /// Entering-variable pricing rule for the primal simplex.
     pub pricing: PricingRule,
     /// Fix nonbasic integer variables whose reduced cost exceeds the
-    /// primal–dual gap (at the root and, in the sequential search, on
-    /// incumbent improvements).
+    /// primal–dual gap (at the root, at every node, and on incumbent
+    /// improvements).
     pub reduced_cost_fixing: bool,
     /// Run the presolver before solving.
     pub presolve: bool,
     /// Primal-heuristic settings: root rounding/diving, in-tree dives, and
     /// the anytime LNS + tabu engine (all on by default).
     pub heuristics: HeurConfig,
-    /// Print progress lines to stderr.
-    pub verbose: bool,
     /// Random seed for tie-breaking perturbations.
     pub seed: u64,
     /// Number of branch-and-bound worker threads. `0` (the default) uses
-    /// [`std::thread::available_parallelism`]; `1` runs the original
-    /// single-threaded search. The optimal objective is the same at any
+    /// [`std::thread::available_parallelism`]; `1` runs the search as one
+    /// worker on the calling thread. The optimal objective is the same at any
     /// thread count (within the gap tolerances); node counts and timings
     /// vary with scheduling.
     pub threads: usize,
@@ -415,16 +389,12 @@ impl Default for Config {
             abs_gap: 1e-9,
             time_limit: None,
             node_limit: None,
-            iter_limit: None,
-            refactor_interval: 64,
             branching: Branching::default(),
-            node_selection: NodeSelection::default(),
             reopt: ReoptMode::default(),
             pricing: PricingRule::default(),
             reduced_cost_fixing: true,
             presolve: true,
             heuristics: HeurConfig::default(),
-            verbose: false,
             seed: 0x5eed,
             threads: 0,
             cancel: None,
@@ -481,12 +451,6 @@ impl Config {
     /// Sets the primal-heuristic configuration.
     pub fn with_heur(mut self, heur: HeurConfig) -> Self {
         self.heuristics = heur;
-        self
-    }
-
-    /// Enables or disables progress output.
-    pub fn with_verbose(mut self, on: bool) -> Self {
-        self.verbose = on;
         self
     }
 
@@ -598,14 +562,12 @@ mod tests {
             .with_node_limit(10)
             .with_rel_gap(0.01)
             .with_presolve(false)
-            .with_heuristics(false)
-            .with_verbose(true);
+            .with_heuristics(false);
         assert_eq!(cfg.time_limit, Some(Duration::from_millis(500)));
         assert_eq!(cfg.node_limit, Some(10));
         assert_eq!(cfg.rel_gap, 0.01);
         assert!(!cfg.presolve);
         assert!(!cfg.heuristics.enabled && !cfg.heuristics.lns);
-        assert!(cfg.verbose);
     }
 
     #[test]
@@ -641,7 +603,6 @@ mod tests {
         let d = Config::default();
         assert!(d.cuts.enabled && d.cuts.gomory && d.cuts.cover && d.cuts.clique);
         assert!(d.cuts.max_rounds >= 1);
-        assert!(!d.cuts.node_cuts, "node cuts are opt-in");
         let off = Config::default().with_cuts(CutConfig::off());
         assert!(!off.cuts.enabled);
         assert!(!off.cuts.gomory && !off.cuts.cover && !off.cuts.clique);

@@ -11,12 +11,12 @@
 //! cold resolve.
 //!
 //! Validity discipline: every cut must hold for *all* integer-feasible
-//! points of the original problem, so cuts can be shared freely across the
+//! points of the original problem, so the cut LP serves the whole
 //! branch-and-bound tree. Cover and clique cuts derive from original rows
-//! and are always globally valid; Gomory cuts are derived **only at the
-//! root** with the root bounds — a Gomory cut derived from a node's
-//! tightened bounds would only be valid in that subtree, so node-level
-//! separation (see [`separate_node`]) runs cover + clique only.
+//! and are always globally valid; Gomory cuts are globally valid because
+//! they are derived at the root with the root bounds. Separation runs at
+//! the root only: node-level rounds showed no benefit on any bench
+//! (DESIGN.md §11).
 
 pub mod clique;
 pub mod cover;
@@ -378,10 +378,8 @@ pub trait Separator: Send + Sync {
     fn separate(&self, inp: &SepInput<'_>, ctx: &CutContext, out: &mut Vec<Cut>);
 }
 
-/// The separators enabled by `cfg`, in application order. `root` includes
-/// tableau-based (Gomory) separation, which is only globally valid when
-/// derived at the root bounds.
-pub fn enabled_separators(cfg: &CutConfig, root: bool) -> Vec<Box<dyn Separator>> {
+/// The separators enabled by `cfg`, in application order.
+pub fn enabled_separators(cfg: &CutConfig) -> Vec<Box<dyn Separator>> {
     let mut v: Vec<Box<dyn Separator>> = Vec::new();
     if !cfg.enabled {
         return v;
@@ -392,7 +390,7 @@ pub fn enabled_separators(cfg: &CutConfig, root: bool) -> Vec<Box<dyn Separator>
     if cfg.cover {
         v.push(Box::new(cover::CoverSeparator));
     }
-    if cfg.gomory && root {
+    if cfg.gomory {
         v.push(Box::new(gomory::GomorySeparator));
     }
     v
@@ -411,10 +409,9 @@ struct PoolEntry {
 /// [`CutPool::select`] call scores pending cuts against the current
 /// fractional point and moves the best ones — subject to efficacy and
 /// pairwise-parallelism filters — onto the **append-only applied list**,
-/// whose global order lets parallel workers extend their local LPs by
-/// prefix (a node's warm basis stays index-consistent because later cuts
-/// only ever append rows). Pending cuts not selected age by one per round
-/// and are evicted past `max_age`.
+/// whose order is the row order of the cut LP (checkpoint frames store it
+/// verbatim). Pending cuts not selected age by one per round and are
+/// evicted past `max_age`.
 #[derive(Debug, Default)]
 pub struct CutPool {
     pending: Vec<PoolEntry>,
@@ -542,19 +539,6 @@ pub fn cuts_to_rows(cuts: &[Cut]) -> Vec<SparseRow> {
         .collect()
 }
 
-/// Rows a worker whose LP carries the first `local` applied cuts still has
-/// to append. Tolerates every relative position the append-only global
-/// order allows — including a restored LP *behind* the pool (the resume
-/// case: extra post-root cuts in the frame are caught up lazily) and a
-/// `local` count at or past the pool's length (nothing to do), which a
-/// naive `&applied[local..]` slice would panic on.
-pub fn catch_up_rows(applied: &[Cut], local: usize) -> Vec<SparseRow> {
-    match applied.get(local..) {
-        Some(suffix) if !suffix.is_empty() => cuts_to_rows(suffix),
-        _ => Vec::new(),
-    }
-}
-
 /// Outcome of the root separation loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RootCutOutcome {
@@ -588,7 +572,7 @@ pub fn run_root_cuts(
     if !ccfg.enabled || root.status != crate::simplex::LpStatus::Optimal {
         return out;
     }
-    let separators = enabled_separators(ccfg, true);
+    let separators = enabled_separators(ccfg);
     if separators.is_empty() {
         return out;
     }
@@ -722,28 +706,6 @@ pub(crate) fn append_and_reoptimize(
     }
 }
 
-/// Node-level separation: the globally valid separators only (cover +
-/// clique), offered into the shared pool. Returns how many cuts entered.
-pub fn separate_node(
-    ctx: &CutContext,
-    x: &[f64],
-    var_lb: &[f64],
-    var_ub: &[f64],
-    pool: &mut CutPool,
-    max_cuts: usize,
-) -> usize {
-    let mut found = Vec::new();
-    cover::separate_cover(ctx, x, max_cuts, &mut found);
-    clique::separate_clique(ctx, x, max_cuts, &mut found);
-    let mut entered = 0;
-    for c in found {
-        if pool.offer(c, var_lb, var_ub) {
-            entered += 1;
-        }
-    }
-    entered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,26 +729,6 @@ mod tests {
         };
         let s = c.sanitize(&[0.0; 3], &[1.0; 3]).expect("valid");
         assert_eq!(s.coefs, vec![(0, 2.0), (2, 1.5)]);
-    }
-
-    #[test]
-    fn catch_up_rows_tolerates_every_relative_position() {
-        let cut = |ub: f64| Cut {
-            coefs: vec![(0, 1.0)],
-            lb: f64::NEG_INFINITY,
-            ub,
-            source: CutSource::Cover,
-        };
-        let applied = vec![cut(1.0), cut(2.0), cut(3.0)];
-        // Worker behind the pool (the resume catch-up case).
-        let rows = catch_up_rows(&applied, 1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].2, 2.0);
-        // Worker exactly caught up, and past the pool: both are no-ops, not
-        // slice panics.
-        assert!(catch_up_rows(&applied, 3).is_empty());
-        assert!(catch_up_rows(&applied, 7).is_empty());
-        assert!(catch_up_rows(&[], 0).is_empty());
     }
 
     #[test]

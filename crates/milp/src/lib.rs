@@ -65,8 +65,8 @@ pub mod sparse;
 
 pub use checkpoint::{load_frame, structure_fingerprint, FrameError, SearchFrame};
 pub use config::{
-    Branching, CheckpointConfig, ColGenConfig, Config, CutConfig, HeurConfig, NodeSelection,
-    PricingRule, ReoptMode,
+    Branching, CheckpointConfig, ColGenConfig, Config, CutConfig, HeurConfig, PricingRule,
+    ReoptMode,
 };
 pub use pricing::{ColumnSource, NewColumn, NewRow, PriceInput, PricedBatch};
 pub use error::{CancelToken, FaultInjection, SolveError};

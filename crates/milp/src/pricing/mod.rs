@@ -21,7 +21,7 @@
 //! set, and it forces an identity presolve so the row indices the source
 //! sees are exactly the caller's encode-time indices.
 
-use crate::checkpoint::FrameError;
+use crate::checkpoint::{FrameBatch, FrameError};
 use crate::config::Config;
 use crate::presolve::Presolved;
 use crate::problem::{Row, RowId, Var, VarId};
@@ -157,12 +157,107 @@ fn splice_statuses(old: &[VStat], n0: usize, new_lb: &[f64], r: usize) -> Vec<VS
     v
 }
 
+/// Checks one batch against an LP with `n0` columns and `m0` rows before
+/// anything grows: every column entry must name an existing row, every
+/// side-row coefficient an existing or same-batch column, every number must
+/// be finite and every bound pair ordered. Returns what is wrong, if
+/// anything.
+fn check_batch(batch: &FrameBatch, n0: usize, m0: usize) -> Result<(), &'static str> {
+    let n1 = n0 + batch.cols.len();
+    let bad_range = |lo: f64, hi: f64| lo.is_nan() || hi.is_nan() || lo > hi;
+    for col in &batch.cols {
+        if !col.obj.is_finite() || bad_range(col.lb, col.ub) {
+            return Err("priced column has a bad objective or bounds");
+        }
+        if col.entries.iter().any(|&(r, v)| r >= m0 || !v.is_finite()) {
+            return Err("priced column entry names an unknown row or is not finite");
+        }
+    }
+    for row in &batch.rows {
+        if bad_range(row.lb, row.ub) {
+            return Err("side row has bad bounds");
+        }
+        if row.coefs.iter().any(|&(j, v)| j >= n1 || !v.is_finite()) {
+            return Err("side row names an unknown column or is not finite");
+        }
+    }
+    Ok(())
+}
+
+/// Grows the root problem by one priced batch, in lockstep: the reduced
+/// problem (variables, their entries in existing rows, then side rows that
+/// may reference them) and its postsolve map, the computational LP (columns
+/// first, so side-row coefficients over the new variables are in range,
+/// then rows), the root bound vectors, and `int_vars`. The batch is checked
+/// first; on an error nothing has been mutated.
+fn append_batch(
+    ps: &mut Presolved,
+    lp: &mut LpData,
+    root_lb: &mut Vec<f64>,
+    root_ub: &mut Vec<f64>,
+    int_vars: &mut Vec<usize>,
+    batch: &FrameBatch,
+    sign: f64,
+) -> Result<(), &'static str> {
+    check_batch(batch, lp.num_vars(), lp.num_rows())?;
+    for col in &batch.cols {
+        let mut builder = if !col.integer {
+            Var::cont()
+        } else if col.lb >= 0.0 && col.ub <= 1.0 {
+            Var::binary()
+        } else {
+            Var::integer()
+        }
+        .bounds(col.lb, col.ub)
+        .obj(col.obj);
+        if let Some(name) = &col.name {
+            builder = builder.name(name.clone());
+        }
+        let vid = ps.reduced.add_var(builder);
+        for &(r, v) in &col.entries {
+            ps.reduced.add_row_coef(RowId(r), vid, v);
+        }
+        root_lb.push(col.lb);
+        root_ub.push(col.ub);
+        if col.integer {
+            int_vars.push(vid.index());
+        }
+    }
+    for row in &batch.rows {
+        let mut builder = Row::new()
+            .range(row.lb, row.ub)
+            .coefs(row.coefs.iter().map(|&(j, v)| (VarId(j), v)));
+        if let Some(name) = &row.name {
+            builder = builder.name(name.clone());
+        }
+        let rid = ps.reduced.add_row(builder);
+        if row.gub {
+            ps.reduced.mark_gub(rid);
+        }
+    }
+    ps.register_appended_vars(batch.cols.len());
+    let cols: Vec<SparseCol> = batch
+        .cols
+        .iter()
+        .map(|c| (c.entries.clone(), sign * c.obj))
+        .collect();
+    lp.append_cols(&cols);
+    let rows: Vec<SparseRow> = batch
+        .rows
+        .iter()
+        .map(|r| (r.coefs.clone(), r.lb, r.ub))
+        .collect();
+    lp.append_rows(&rows);
+    Ok(())
+}
+
 /// Runs the root pricing loop. On entry `root` holds the optimal result of
 /// the restricted root LP; on exit it holds the optimal result over every
-/// column the source priced in, and `ps.reduced`, `lp`, the bound vectors,
-/// and `int_vars` have grown consistently. Failed reoptimizations roll the
-/// round back and stop the loop — the restricted optimum before the round
-/// stays valid, pricing is only ever an improvement pass.
+/// column the source priced in, and `ps`, `lp`, the bound vectors, and
+/// `int_vars` have grown consistently. A malformed batch or a failed
+/// reoptimization stops the loop (the latter after rolling its round back):
+/// the restricted optimum before the round stays valid, pricing is only
+/// ever an improvement pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_root_pricing(
     source: &mut dyn ColumnSource,
@@ -176,7 +271,7 @@ pub(crate) fn run_root_pricing(
     deadline: Option<Instant>,
     sign: f64,
     stats: &mut Stats,
-    accepted: &mut Vec<crate::checkpoint::FrameBatch>,
+    accepted: &mut Vec<FrameBatch>,
 ) {
     let t0 = Instant::now();
     let mut stalled = 0usize;
@@ -198,7 +293,7 @@ pub(crate) fn run_root_pricing(
             max_cols: cfg.colgen.max_cols_per_round,
         };
         stats.pricing_rounds += 1;
-        let batch = source.price(&input);
+        let PricedBatch { mut cols, rows } = source.price(&input);
         // Mid-round cancellation point: a cancel that lands while the
         // oracle prices must abort here, before the splice + reoptimize.
         // The fault hook fires scheduled test cancellations at this spot.
@@ -208,93 +303,24 @@ pub(crate) fn run_root_pricing(
         if cfg.is_cancelled() {
             break;
         }
-        if batch.cols.is_empty() {
+        if cols.is_empty() {
             break; // no improving column: optimal over the full set
         }
-        let n0 = lp.num_vars();
-        let k = batch.cols.len().min(cfg.colgen.max_cols_per_round);
-        let cols = &batch.cols[..k];
+        cols.truncate(cfg.colgen.max_cols_per_round);
+        let batch = FrameBatch { cols, rows };
+        let (n0, m0) = (lp.num_vars(), lp.num_rows());
 
         // Snapshot for rollback; mirrors run_root_cuts' per-round backup.
         let lp_backup = lp.clone();
-        let reduced_backup = ps.reduced.clone();
-
-        // Grow the reduced problem first: variables, then their entries in
-        // existing rows, then side rows (which may reference the new vars).
-        let mut new_lb = Vec::with_capacity(k);
-        for col in cols {
-            let mut builder = if col.integer {
-                if col.lb >= 0.0 && col.ub <= 1.0 {
-                    Var::binary()
-                } else {
-                    Var::integer()
-                }
-            } else {
-                Var::cont()
-            }
-            .bounds(col.lb, col.ub)
-            .obj(col.obj);
-            if let Some(name) = &col.name {
-                builder = builder.name(name.clone());
-            }
-            let vid = ps.reduced.add_var(builder);
-            debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
-            for &(r, v) in &col.entries {
-                ps.reduced.add_row_coef(RowId(r), vid, v);
-            }
-            new_lb.push(col.lb);
-        }
-        let mut ok = true;
-        for row in &batch.rows {
-            let mut builder = Row::new().range(row.lb, row.ub);
-            for &(j, v) in &row.coefs {
-                if j >= n0 + k {
-                    ok = false;
-                    break;
-                }
-                builder = builder.coef(VarId(j), v);
-            }
-            if !ok {
-                break;
-            }
-            if let Some(name) = &row.name {
-                builder = builder.name(name.clone());
-            }
-            let rid = ps.reduced.add_row(builder);
-            if row.gub {
-                ps.reduced.mark_gub(rid);
-            }
-        }
-        if !ok {
-            ps.reduced = reduced_backup;
+        let ps_backup = ps.clone();
+        if append_batch(ps, lp, root_lb, root_ub, int_vars, &batch, sign).is_err() {
             break; // malformed batch: keep the restricted optimum
-        }
-
-        // Grow the computational LP the same way: columns first (so row
-        // coefficients over the new variables are in range), then rows.
-        let sparse_cols: Vec<SparseCol> = cols
-            .iter()
-            .map(|c| (c.entries.clone(), sign * c.obj))
-            .collect();
-        lp.append_cols(&sparse_cols);
-        let sparse_rows: Vec<SparseRow> = batch
-            .rows
-            .iter()
-            .map(|r| (r.coefs.clone(), r.lb, r.ub))
-            .collect();
-        lp.append_rows(&sparse_rows);
-        for col in cols {
-            root_lb.push(col.lb);
-            root_ub.push(col.ub);
-            if col.integer {
-                int_vars.push(root_lb.len() - 1);
-            }
         }
 
         // Warm reoptimize from the spliced basis: new columns at their
         // resting bound keep every old row satisfied, new row slacks enter
         // basic, so the primal simplex restarts feasible in Phase 2.
-        let spliced = splice_statuses(&root.statuses, n0, &new_lb, batch.rows.len());
+        let spliced = splice_statuses(&root.statuses, n0, &root_lb[n0..], lp.num_rows() - m0);
         stats.lp_solves += 1;
         let prev_obj = root.obj;
         let reopt = solve_lp(lp, root_lb, root_ub, cfg, Some(&spliced), deadline);
@@ -305,20 +331,11 @@ pub(crate) fn run_root_pricing(
             .as_ref()
             .is_some_and(|f| f.take_pricing_reopt_failure());
         match reopt {
-            Ok(r) if r.status == LpStatus::Optimal && !forced_failure => {
-                stats.simplex_iters += r.iters;
-                stats.phase1_iters += r.phase1_iters;
-                stats.dual_iters += r.dual_iters;
-                if r.recoveries > 0 {
-                    stats.lp_recoveries += 1;
-                }
+            Ok(mut r) if r.status == LpStatus::Optimal && !forced_failure => {
+                stats.take_lp_work(&mut r);
                 *root = r;
-                ps.register_appended_vars(k);
-                stats.cols_priced += k;
-                accepted.push(crate::checkpoint::FrameBatch {
-                    cols: cols.to_vec(),
-                    rows: batch.rows.clone(),
-                });
+                stats.cols_priced += batch.cols.len();
+                accepted.push(batch);
                 let tol = cfg.colgen.rc_tol * (1.0 + prev_obj.abs());
                 if prev_obj - root.obj <= tol {
                     stalled += 1;
@@ -334,12 +351,10 @@ pub(crate) fn run_root_pricing(
                 // impossible infeasible/unbounded flip): roll the round
                 // back and stop pricing — the pre-round optimum stands.
                 *lp = lp_backup;
-                ps.reduced = reduced_backup;
+                *ps = ps_backup;
                 root_lb.truncate(n0);
                 root_ub.truncate(n0);
                 int_vars.retain(|&j| j < n0);
-                debug_assert_eq!(lp.num_vars(), n0, "rollback must restore the LP width");
-                debug_assert_eq!(root_lb.len(), n0);
                 break;
             }
         }
@@ -348,12 +363,12 @@ pub(crate) fn run_root_pricing(
 }
 
 /// Replays accepted pricing rounds from a checkpoint frame in place of
-/// [`run_root_pricing`]: grows `ps.reduced`, the computational LP, and the
-/// bound/integrality vectors exactly as the loop's accept path did — batch
-/// by batch, so side-row variable indices resolve the same way — then
-/// reoptimizes `root` warm from the spliced basis, as one round would.
-/// Fails with [`FrameError::Mismatch`] when a batch is malformed (a frame
-/// written by different code) or the grown LP does not reoptimize.
+/// [`run_root_pricing`]: grows the root problem through the same
+/// [`append_batch`] step, batch by batch so side-row variable indices
+/// resolve the same way, then reoptimizes `root` warm from the spliced
+/// basis, as one round would. Fails with [`FrameError::Mismatch`] when a
+/// batch is malformed (a frame written by different code) or the grown LP
+/// does not reoptimize.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_batches(
     ps: &mut Presolved,
@@ -361,79 +376,17 @@ pub(crate) fn replay_batches(
     root_lb: &mut Vec<f64>,
     root_ub: &mut Vec<f64>,
     int_vars: &mut Vec<usize>,
-    batches: &[crate::checkpoint::FrameBatch],
+    batches: &[FrameBatch],
     cfg: &Config,
     root: &mut LpResult,
     deadline: Option<Instant>,
     sign: f64,
     stats: &mut Stats,
 ) -> Result<(), FrameError> {
-    let misfit = FrameError::Mismatch("pricing batches do not fit the base LP");
-    let n_base = lp.num_vars();
-    let rows_base = lp.num_rows();
+    let (n_base, rows_base) = (lp.num_vars(), lp.num_rows());
     for batch in batches {
-        let n0 = lp.num_vars();
-        let k = batch.cols.len();
-        for col in &batch.cols {
-            let mut builder = if col.integer {
-                if col.lb >= 0.0 && col.ub <= 1.0 {
-                    Var::binary()
-                } else {
-                    Var::integer()
-                }
-            } else {
-                Var::cont()
-            }
-            .bounds(col.lb, col.ub)
-            .obj(col.obj);
-            if let Some(name) = &col.name {
-                builder = builder.name(name.clone());
-            }
-            let vid = ps.reduced.add_var(builder);
-            debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
-            for &(r, v) in &col.entries {
-                if r >= lp.num_rows() {
-                    return Err(misfit);
-                }
-                ps.reduced.add_row_coef(RowId(r), vid, v);
-            }
-        }
-        for row in &batch.rows {
-            let mut builder = Row::new().range(row.lb, row.ub);
-            for &(j, v) in &row.coefs {
-                if j >= n0 + k {
-                    return Err(misfit);
-                }
-                builder = builder.coef(VarId(j), v);
-            }
-            if let Some(name) = &row.name {
-                builder = builder.name(name.clone());
-            }
-            let rid = ps.reduced.add_row(builder);
-            if row.gub {
-                ps.reduced.mark_gub(rid);
-            }
-        }
-        let sparse_cols: Vec<SparseCol> = batch
-            .cols
-            .iter()
-            .map(|c| (c.entries.clone(), sign * c.obj))
-            .collect();
-        lp.append_cols(&sparse_cols);
-        let sparse_rows: Vec<SparseRow> = batch
-            .rows
-            .iter()
-            .map(|r| (r.coefs.clone(), r.lb, r.ub))
-            .collect();
-        lp.append_rows(&sparse_rows);
-        for col in &batch.cols {
-            root_lb.push(col.lb);
-            root_ub.push(col.ub);
-            if col.integer {
-                int_vars.push(root_lb.len() - 1);
-            }
-        }
-        ps.register_appended_vars(k);
+        append_batch(ps, lp, root_lb, root_ub, int_vars, batch, sign)
+            .map_err(FrameError::Mismatch)?;
     }
     stats.cols_priced = lp.num_vars() - n_base;
     let spliced = splice_statuses(
@@ -444,13 +397,8 @@ pub(crate) fn replay_batches(
     );
     stats.lp_solves += 1;
     match solve_lp(lp, root_lb, root_ub, cfg, Some(&spliced), deadline) {
-        Ok(r) if r.status == LpStatus::Optimal => {
-            stats.simplex_iters += r.iters;
-            stats.phase1_iters += r.phase1_iters;
-            stats.dual_iters += r.dual_iters;
-            if r.recoveries > 0 {
-                stats.lp_recoveries += 1;
-            }
+        Ok(mut r) if r.status == LpStatus::Optimal => {
+            stats.take_lp_work(&mut r);
             *root = r;
             Ok(())
         }
@@ -597,6 +545,112 @@ mod tests {
         assert!((s.objective() - 1.0).abs() < 1e-6, "obj {}", s.objective());
         let v = s.values();
         assert!((v[2] - 1.0).abs() < 1e-6, "priced binary must be 1: {v:?}");
+    }
+
+    /// A column with the given entries, cost 1, bounds `[0, 10]`.
+    fn col(entries: Vec<(usize, f64)>) -> NewColumn {
+        NewColumn {
+            obj: 1.0,
+            lb: 0.0,
+            ub: 10.0,
+            integer: false,
+            name: None,
+            entries,
+        }
+    }
+
+    #[test]
+    fn malformed_priced_column_stops_with_the_restricted_optimum() {
+        // The column names row 7 of a one-row problem: the loop must stop
+        // with the restricted optimum instead of growing anything.
+        let p = cover_problem();
+        let mut src = Scripted {
+            batches: vec![PricedBatch {
+                cols: vec![col(vec![(7, 1.0)])],
+                rows: vec![],
+            }],
+            seen_duals: Vec::new(),
+        };
+        let cfg = Config::default();
+        let s = crate::branch::cold(solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src), None));
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 4.0).abs() < 1e-6, "obj {}", s.objective());
+        assert_eq!(s.stats().cols_priced, 0);
+        assert_eq!(s.values().len(), 2);
+    }
+
+    #[test]
+    fn check_batch_rejects_every_malformed_shape() {
+        let side = |coefs: Vec<(usize, f64)>, lb: f64| NewRow {
+            coefs,
+            lb,
+            ub: 1.0,
+            gub: false,
+            name: None,
+        };
+        let batch = |col: NewColumn, rows: Vec<NewRow>| FrameBatch {
+            cols: vec![col],
+            rows,
+        };
+        // Two columns and one row: the batch's own column is index 2.
+        let ok = batch(col(vec![(0, 1.0)]), vec![side(vec![(2, 1.0)], 0.0)]);
+        assert!(check_batch(&ok, 2, 1).is_ok());
+        let bad = [
+            batch(col(vec![(1, 1.0)]), vec![]),
+            batch(col(vec![(0, f64::NAN)]), vec![]),
+            batch(NewColumn { obj: f64::INFINITY, ..col(vec![]) }, vec![]),
+            batch(NewColumn { lb: 20.0, ..col(vec![]) }, vec![]),
+            batch(col(vec![]), vec![side(vec![(3, 1.0)], 0.0)]),
+            batch(col(vec![]), vec![side(vec![(0, f64::INFINITY)], 0.0)]),
+            batch(col(vec![]), vec![side(vec![(0, 1.0)], f64::NAN)]),
+        ];
+        for (i, b) in bad.iter().enumerate() {
+            assert!(check_batch(b, 2, 1).is_err(), "malformed batch {i}");
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_malformed_batch_before_growing() {
+        let p = cover_problem();
+        let cfg = Config::default();
+        let mut ps = Presolved::identity(&p);
+        let (row_lb, row_ub) = ps.reduced.row_ids().map(|r| ps.reduced.row_bounds(r)).unzip();
+        let mut lp = LpData {
+            a: ps.reduced.matrix(),
+            c: ps.reduced.objective(),
+            row_lb,
+            row_ub,
+        };
+        let (mut lb, mut ub): (Vec<f64>, Vec<f64>) =
+            ps.reduced.var_ids().map(|v| ps.reduced.var_bounds(v)).unzip();
+        let mut int_vars = Vec::new();
+        let mut root = solve_lp(&lp, &lb, &ub, &cfg, None, None).expect("root LP solves");
+        let mut stats = Stats::default();
+        // The second batch's column names a row that does not exist.
+        let batches = [(0, 1.0), (4, 1.0)].map(|entry| FrameBatch {
+            cols: vec![col(vec![entry])],
+            rows: vec![],
+        });
+        let got = replay_batches(
+            &mut ps,
+            &mut lp,
+            &mut lb,
+            &mut ub,
+            &mut int_vars,
+            &batches,
+            &cfg,
+            &mut root,
+            None,
+            1.0,
+            &mut stats,
+        );
+        assert!(matches!(got, Err(FrameError::Mismatch(_))), "{got:?}");
+        // The well-formed first batch grew everything in lockstep; the
+        // malformed second one grew nothing.
+        assert_eq!(ps.reduced.num_vars(), 3);
+        assert_eq!(lp.num_vars(), 3);
+        assert_eq!((lb.len(), ub.len()), (3, 3));
+        assert_eq!(ps.postsolve(&[0.0, 0.0, 1.0]).len(), 3);
     }
 
     #[test]

@@ -38,6 +38,9 @@ use crate::lu::{Factorization, LuError};
 use crate::sparse::CscMatrix;
 use std::time::Instant;
 
+/// Refactorize the basis after this many eta updates.
+const REFACTOR_INTERVAL: usize = 64;
+
 /// Status of one variable in the simplex basis partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VStat {
@@ -60,7 +63,7 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below (in minimization form).
     Unbounded,
-    /// Iteration or time limit reached before convergence.
+    /// Time limit reached (or the solve was cancelled) before convergence.
     Limit,
 }
 
@@ -330,7 +333,7 @@ enum DualRun {
     Feasible,
     /// Dual unbounded: the primal LP is infeasible.
     Infeasible,
-    /// Deadline / iteration limit reached.
+    /// Deadline reached or the solve was cancelled.
     Limit,
     /// The dual method cannot (or should not) continue from this basis;
     /// the caller falls back to the primal Phase 1 path.
@@ -796,11 +799,6 @@ impl<'a> Engine<'a> {
         let mut since_recompute = 0usize;
         let mut singular_retries = 0usize;
         loop {
-            if let Some(limit) = self.cfg.iter_limit {
-                if self.iters >= limit {
-                    return Ok(DualRun::Limit);
-                }
-            }
             if self.iters.is_multiple_of(64) && self.out_of_time() {
                 return Ok(DualRun::Limit);
             }
@@ -1005,7 +1003,7 @@ impl<'a> Engine<'a> {
             self.basis[leave_pos] = j_enter;
             self.pos[j_enter] = leave_pos;
             self.status[j_enter] = VStat::Basic;
-            if self.fact.eta_count() >= self.cfg.refactor_interval
+            if self.fact.eta_count() >= REFACTOR_INTERVAL
                 || self.fact.update(leave_pos, &w).is_err()
             {
                 if !self.refactorize() {
@@ -1061,26 +1059,11 @@ impl<'a> Engine<'a> {
         let mut colbuf: Vec<(usize, f64)> = Vec::new();
         let mut since_recompute = 0usize;
         loop {
-            if let Some(limit) = self.cfg.iter_limit {
-                if self.iters >= limit {
-                    return Ok(LpStatus::Limit);
-                }
-            }
             if self.iters.is_multiple_of(64) && self.out_of_time() {
                 return Ok(LpStatus::Limit);
             }
             if self.degenerate_run > Self::STALL_LIMIT {
                 return Err(SolveError::Cycling { iters: self.iters });
-            }
-            if self.cfg.verbose && self.iters > 0 && self.iters.is_multiple_of(50_000) {
-                eprintln!(
-                    "[simplex] iter {} phase{} obj {:.6} infeas {:.3e} degen_run {}",
-                    self.iters,
-                    if phase1 { 1 } else { 2 },
-                    self.objective(),
-                    self.infeasibility(),
-                    self.degenerate_run
-                );
             }
             if phase1 && self.infeasibility() <= self.cfg.feas_tol * (1.0 + self.m as f64) {
                 return Ok(LpStatus::Optimal); // feasible; caller proceeds to phase 2
@@ -1142,17 +1125,11 @@ impl<'a> Engine<'a> {
                     self.basis[leave_pos] = j;
                     self.pos[j] = leave_pos;
                     self.status[j] = VStat::Basic;
-                    if self.fact.eta_count() >= self.cfg.refactor_interval
+                    if self.fact.eta_count() >= REFACTOR_INTERVAL
                         || self.fact.update(leave_pos, &w).is_err()
                     {
                         if !self.refactorize() {
                             // numerically singular: rebuild from slack basis
-                            if self.cfg.verbose {
-                                eprintln!(
-                                    "[simplex] singular basis at iter {}; resetting to slack basis",
-                                    self.iters
-                                );
-                            }
                             self.slack_resets += 1;
                             if self.slack_resets > 3 {
                                 // persistently singular: surface it; the

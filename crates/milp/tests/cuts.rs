@@ -211,21 +211,18 @@ proptest! {
         }
     }
 
-    /// Node-level separation (shared pool, lazily synced worker LPs) must
-    /// also be optimum-preserving, sequentially and in parallel.
+    /// The root-cut LP, shared read-only by every search worker, must be
+    /// optimum-preserving sequentially and in parallel.
     #[test]
-    fn node_cuts_preserve_the_optimum((obj, wts, cap) in instance(), threads in 1usize..=3) {
+    fn root_cuts_preserve_the_optimum_at_any_thread_count((obj, wts, cap) in instance(), threads in 1usize..=3) {
         let p = build(&obj, &wts, cap);
         let base = Solver::new(Config::default().with_cuts(CutConfig::off())).solve(&p);
-        let node = CutConfig { node_cuts: true, ..CutConfig::default() };
-        let sol = Solver::new(
-            Config::default().with_cuts(node).with_threads(threads)
-        ).solve(&p);
+        let sol = Solver::new(Config::default().with_threads(threads)).solve(&p);
         prop_assert_eq!(base.status(), sol.status());
         if base.status().has_solution() {
             prop_assert!(
                 (base.objective() - sol.objective()).abs() < 1e-6,
-                "node cuts: {} vs {}", base.objective(), sol.objective()
+                "root cuts at {} threads: {} vs {}", threads, base.objective(), sol.objective()
             );
             prop_assert!(p.check_feasible(sol.values(), 1e-6).is_none());
         }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must stay green on every commit.
 #
-#   1. release build of the whole workspace
+#   1. release build of the whole workspace, plus a type check of the
+#      standalone perfbench package (its own workspace, so the build above
+#      never compiles it, yet it builds against the solver's public API)
 #   2. the root package test suite (fast determinism + integration tests),
 #      then every workspace crate's tests (checkpoint, proptest, dual-reopt,
 #      fault-injection and the rest)
@@ -45,6 +47,9 @@ cd "$(dirname "$0")/.."
 
 echo "== tier1: cargo build --release =="
 cargo build --release
+
+echo "== tier1: cargo check perfbench =="
+cargo check --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier1: cargo test -q =="
 cargo test -q
